@@ -13,7 +13,7 @@
 
 use aging_cache::json::Json;
 use perfbench::catalog::{Catalog, Metric, LAYER_MAP};
-use perfbench::stats::{median, quartiles};
+use perfbench::stats::{median, quartiles, relative_spread};
 use std::collections::BTreeMap;
 use std::path::Path;
 use std::process::ExitCode;
@@ -89,16 +89,6 @@ fn values(runs: &[Run], metric: &str) -> Vec<f64> {
         .collect()
 }
 
-fn spread(v: &[f64]) -> f64 {
-    let (q1, q3) = quartiles(v);
-    let m = median(v);
-    if m == 0.0 {
-        0.0
-    } else {
-        (q3 - q1) / m.abs()
-    }
-}
-
 /// The verdict for one end-to-end metric on one workload.
 fn verdict(m: &Metric, a: &[Run], b: &[Run]) -> (String, String) {
     let (va, vb) = (values(a, &m.name), values(b, &m.name));
@@ -133,7 +123,7 @@ fn verdict(m: &Metric, a: &[Run], b: &[Run]) -> (String, String) {
     }
     let (q1, q3) = quartiles(&va);
     let gain = pairs > 0 && wins * 10 >= pairs * 9 && (mb - ma).abs() > q3 - q1 && better(mb, ma);
-    let wide = spread(&va).max(spread(&vb)) > bound;
+    let wide = relative_spread(&va).max(relative_spread(&vb)) > bound;
     let word = if all_better && gain {
         "improved"
     } else if wide {
@@ -149,8 +139,8 @@ fn verdict(m: &Metric, a: &[Run], b: &[Run]) -> (String, String) {
         "parent {ma:.6} [{q1:.6}, {q3:.6}]  change {mb:.6}  worse by {:+.1}% (bound {:.0}%)  wins {wins}/{pairs}  spread {:.1}%/{:.1}%",
         100.0 * worse_by,
         100.0 * bound,
-        100.0 * spread(&va),
-        100.0 * spread(&vb)
+        100.0 * relative_spread(&va),
+        100.0 * relative_spread(&vb)
     );
     (word.into(), detail)
 }

@@ -115,8 +115,6 @@ impl Catalog {
 pub struct LayerLink {
     /// The per-layer metric.
     pub metric: &'static str,
-    /// The module it measures (crate or core module names).
-    pub layer: &'static str,
     /// The end-to-end metric it should move.
     pub moves: &'static str,
     /// The workload it should move it on.
@@ -127,14 +125,12 @@ pub struct LayerLink {
 
 const fn link(
     metric: &'static str,
-    layer: &'static str,
     moves: &'static str,
     on: &'static str,
     idle_on: &'static [&'static str],
 ) -> LayerLink {
     LayerLink {
         metric,
-        layer,
         moves,
         on,
         idle_on,
@@ -156,184 +152,128 @@ pub const NONE: &str = "none";
 /// change to that layer is checked against.
 pub const LAYER_MAP: &[LayerLink] = &[
     // traces (crates/traces): synthesis pulled by the simulator.
-    link("traces.opens", "traces", "wall_s", T2, &[SW]),
-    link("traces.accesses", "traces", "wall_s", T2, &[SW]),
-    link("traces.busy_s", "traces", "wall_s", T2, &[SW]),
-    link(
-        "traces.accesses_per_s",
-        "traces",
-        "sim_accesses_per_s",
-        T2,
-        &[SW],
-    ),
+    link("traces.opens", "wall_s", T2, &[SW]),
+    link("traces.accesses", "wall_s", T2, &[SW]),
+    link("traces.busy_s", "wall_s", T2, &[SW]),
+    link("traces.accesses_per_s", "sim_accesses_per_s", T2, &[SW]),
     // sim (crates/sim + core arch): time between pulls until the
     // source drops.
-    link("sim.runs", "sim", "wall_s", T2, &[SW, OT]),
-    link("sim.accesses", "sim", "sim_accesses_per_s", T2, &[SW, OT]),
-    link("sim.busy_s", "sim", "wall_s", T2, &[SW, OT]),
+    link("sim.runs", "wall_s", T2, &[SW, OT]),
+    link("sim.accesses", "sim_accesses_per_s", T2, &[SW, OT]),
+    link("sim.busy_s", "wall_s", T2, &[SW, OT]),
     link(
         "sim.accesses_per_s.dm8k",
-        "sim",
         "sim_accesses_per_s",
         T2,
         &[SW, OT],
     ),
     link(
         "sim.accesses_per_s.dm16k",
-        "sim",
         "sim_accesses_per_s",
         T2,
         &[SW, OT],
     ),
     link(
         "sim.accesses_per_s.dm32k",
-        "sim",
         "sim_accesses_per_s",
         T2,
         &[SW, OT],
     ),
-    link("sim.accesses_per_s.way4", "sim", "wall_s", SJ, &[SW, OT]),
-    link("sim.accesses_per_s.l1l2", "sim", "wall_s", SJ, &[SW, OT]),
+    link("sim.accesses_per_s.way4", "wall_s", SJ, &[SW, OT]),
+    link("sim.accesses_per_s.l1l2", "wall_s", SJ, &[SW, OT]),
     // model (core model + crates/nbti).
-    link("model.calibrations", "model", "replay_s", SJ, &[T2]),
-    link("model.calibrate_s", "model", "wall_s", OT, &[T2]),
-    link("model.evals", "model", "wall_s", SJ, &[T2]),
-    link("model.eval_busy_s", "model", "wall_s", SJ, &[T2]),
-    link("model.evals_per_s.nbti", "model", "wall_s", SJ, &[T2]),
-    link("model.evals_per_s.drv", "model", "wall_s", SJ, &[T2]),
-    link("model.evals_per_s.variation", "model", "wall_s", SJ, &[T2]),
+    link("model.calibrations", "replay_s", SJ, &[T2]),
+    link("model.calibrate_s", "wall_s", OT, &[T2]),
+    link("model.evals", "wall_s", SJ, &[T2]),
+    link("model.eval_busy_s", "wall_s", SJ, &[T2]),
+    link("model.evals_per_s.nbti", "wall_s", SJ, &[T2]),
+    link("model.evals_per_s.drv", "wall_s", SJ, &[T2]),
+    link("model.evals_per_s.variation", "wall_s", SJ, &[T2]),
     // session (core session + exec).
-    link("session.scenarios", "session", "scenarios_per_s", SJ, &[T2]),
-    link("session.simulations", "session", "wall_s", SJ, &[T2]),
-    link("session.sim_memo_hits", "session", "wall_s", SJ, &[T2]),
-    link("session.sim_dedup_ratio", "session", "wall_s", SJ, &[T2]),
-    link("session.self_s", "session", "wall_s", SJ, &[T2]),
+    link("session.scenarios", "scenarios_per_s", SJ, &[T2]),
+    link("session.simulations", "wall_s", SJ, &[T2]),
+    link("session.sim_memo_hits", "wall_s", SJ, &[T2]),
+    link("session.sim_dedup_ratio", "wall_s", SJ, &[T2]),
+    link("session.self_s", "wall_s", SJ, &[T2]),
     // rescache (core rescache + json). table2-cold's cold pass runs
     // without a cache; its replay phase reads a journal.
-    link("rescache.lookups", "rescache", "replay_s", SJ, &[]),
-    link("rescache.lookup_s", "rescache", "replay_s", SJ, &[]),
-    link("rescache.stores", "rescache", "wall_s", SJ, &[]),
-    link("rescache.store_s", "rescache", "wall_s", SJ, &[]),
-    link("rescache.journal_bytes", "rescache", "replay_s", SJ, &[]),
+    link("rescache.lookups", "replay_s", SJ, &[]),
+    link("rescache.lookup_s", "replay_s", SJ, &[]),
+    link("rescache.stores", "wall_s", SJ, &[]),
+    link("rescache.store_s", "wall_s", SJ, &[]),
+    link("rescache.journal_bytes", "replay_s", SJ, &[]),
     // render (core render/views/analysis).
-    link("render.calls", "render", "request_p50_ms", SW, &[T2]),
-    link("render.busy_s", "render", "request_p50_ms", SW, &[T2]),
-    link(
-        "render.records_per_s.text",
-        "render",
-        "request_p50_ms",
-        SW,
-        &[T2],
-    ),
-    link(
-        "render.records_per_s.md",
-        "render",
-        "request_p50_ms",
-        SW,
-        &[T2],
-    ),
-    link(
-        "render.records_per_s.csv",
-        "render",
-        "request_p50_ms",
-        SW,
-        &[T2],
-    ),
-    link(
-        "render.records_per_s.json",
-        "render",
-        "max_rate_rps",
-        SW,
-        &[T2],
-    ),
+    link("render.calls", "request_p50_ms", SW, &[T2]),
+    link("render.busy_s", "request_p50_ms", SW, &[T2]),
+    link("render.records_per_s.text", "request_p50_ms", SW, &[T2]),
+    link("render.records_per_s.md", "request_p50_ms", SW, &[T2]),
+    link("render.records_per_s.csv", "request_p50_ms", SW, &[T2]),
+    link("render.records_per_s.json", "max_rate_rps", SW, &[T2]),
     // serve (core serve).
-    link("serve.requests", "serve", "max_rate_rps", SW, &[T2, SJ, OT]),
-    link("serve.errors", "serve", "max_rate_rps", SW, &[T2, SJ, OT]),
-    link(
-        "serve.coalesced_waits",
-        "serve",
-        "max_rate_rps",
-        SW,
-        &[T2, SJ, OT],
-    ),
+    link("serve.requests", "max_rate_rps", SW, &[T2, SJ, OT]),
+    link("serve.errors", "max_rate_rps", SW, &[T2, SJ, OT]),
+    link("serve.coalesced_waits", "max_rate_rps", SW, &[T2, SJ, OT]),
     link(
         "serve.route_p50_ms.render",
-        "serve",
         "request_p50_ms",
         SW,
         &[T2, SJ, OT],
     ),
     link(
         "serve.route_p50_ms.query",
-        "serve",
         "request_p50_ms",
         SW,
         &[T2, SJ, OT],
     ),
     link(
         "serve.route_p50_ms.compare",
-        "serve",
         "request_p50_ms",
         SW,
         &[T2, SJ, OT],
     ),
     link(
         "serve.route_p50_ms.run",
-        "serve",
         "request_p50_ms",
         SW,
         &[T2, SJ, OT],
     ),
     link(
         "serve.route_p99_ms.render",
-        "serve",
         "max_rate_rps",
         SW,
         &[T2, SJ, OT],
     ),
     link(
         "serve.route_p99_ms.query",
-        "serve",
         "max_rate_rps",
         SW,
         &[T2, SJ, OT],
     ),
     link(
         "serve.route_p99_ms.compare",
-        "serve",
         "max_rate_rps",
         SW,
         &[T2, SJ, OT],
     ),
-    link(
-        "serve.route_p99_ms.run",
-        "serve",
-        "max_rate_rps",
-        SW,
-        &[T2, SJ, OT],
-    ),
+    link("serve.route_p99_ms.run", "max_rate_rps", SW, &[T2, SJ, OT]),
     // search (core search).
-    link("search.probes", "search", "probes", OT, &[T2, SJ, SW]),
-    link("search.space", "search", "probes", OT, &[T2, SJ, SW]),
-    link("search.probe_ratio", "search", "probes", OT, &[T2, SJ, SW]),
-    link("search.probe_ms", "search", "wall_s", OT, &[T2, SJ, SW]),
+    link("search.probes", "probes", OT, &[T2, SJ, SW]),
+    link("search.space", "probes", OT, &[T2, SJ, SW]),
+    link("search.probe_ratio", "probes", OT, &[T2, SJ, SW]),
+    link("search.probe_ms", "wall_s", OT, &[T2, SJ, SW]),
     // The benchmark itself: validity of the open loop and of the trace.
-    link(
-        "client.lag_p99_ms",
-        "benchmark",
-        "max_rate_rps",
-        SW,
-        &[T2, SJ, OT],
-    ),
-    link("trace.overhead", "benchmark", "wall_s", ALL, &[]),
-    link("trace.unattributed", "benchmark", "wall_s", ALL, &[]),
+    link("client.lag_p99_ms", "max_rate_rps", SW, &[T2, SJ, OT]),
+    link("trace.overhead", "wall_s", ALL, &[]),
+    link("trace.unattributed", "wall_s", ALL, &[]),
     // Accuracy against the paper's Table II moves no timing: a change
     // that only claims speed must leave both values bit-identical.
-    link("table2_lt_err", "model", NONE, T2, &[SJ, SW, OT]),
-    link("table2_esav_err", "sim", NONE, T2, &[SJ, SW, OT]),
+    link("table2_lt_err", NONE, T2, &[SJ, SW, OT]),
+    link("table2_esav_err", NONE, T2, &[SJ, SW, OT]),
 ];
 
-/// Self times must explain at least this share of the traced wall
-/// (batch workloads) or of the server-side span time (serve-warm):
-/// `trace.unattributed` above it fails the traced run's check.
+/// The share of a batch workload's timed wall the layer spans may
+/// leave unexplained (`trace.unattributed`) before the traced run's
+/// reconciliation check fails. serve-warm reports the share but is not
+/// held to it: HTTP handling, the session and rendering inside the
+/// server sit behind no public seam.
 pub const RECONCILE_SLACK: f64 = 0.10;

@@ -52,23 +52,3 @@ pub fn execute(cfg: &run::Config) -> run::Outcome {
         .insert("peak_rss_mb".into(), run::peak_rss_mb());
     outcome
 }
-
-/// One untraced replay of a workload's journal in `dir`: what a
-/// `--replay` process runs for its parent.
-///
-/// # Errors
-///
-/// Describes the failed step.
-///
-/// # Panics
-///
-/// On a workload name outside [`WORKLOADS`] (the caller validates it).
-pub fn replay(cfg: &run::Config, dir: &std::path::Path) -> Result<run::Replayed, String> {
-    match cfg.workload.as_str() {
-        "table2-cold" => table2_cold::replay(cfg, dir, None),
-        "sweep-journal" => sweep_journal::replay(cfg, dir, None),
-        "serve-warm" => serve_warm::replay(cfg, dir),
-        "optimize-temp" => optimize_temp::replay(cfg, dir, None),
-        other => panic!("unknown workload {other}"),
-    }
-}

@@ -5,16 +5,12 @@
 //! build profile, `rustc -V` and `git describe`) go to
 //! `perfbench/out/results/`, span dumps of traced runs to
 //! `perfbench/out/spans/`; `compare` diffs two result sets.
-//!
-//! `perfbench --workload <name> --seed <n> --replay <dir> [--tiny]` is
-//! the fresh process a run spawns for each timed journal replay: it
-//! replays the journal in `<dir>` once and prints what it measured.
 
 use aging_cache::json::Json;
 use perfbench::catalog::Catalog;
 use perfbench::run::{self, Config, Outcome};
 use perfbench::spans;
-use perfbench::{execute, meta, replay, WORKLOADS};
+use perfbench::{execute, meta, WORKLOADS};
 use std::io::Write;
 use std::path::PathBuf;
 use std::process::ExitCode;
@@ -23,28 +19,14 @@ const USAGE: &str =
     "usage: perfbench --workload <table2-cold|sweep-journal|serve-warm|optimize-temp> \
                      --seed <n> --seconds <s> --trace <0|1>";
 
-/// A parsed command line: a run, or one replay for a parent run.
-enum Mode {
-    Run(Config),
-    Replay(Config, PathBuf),
-}
-
-fn parse() -> Result<Mode, String> {
+fn parse() -> Result<Config, String> {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    let (mut workload, mut seed, mut seconds, mut trace, mut replay_dir) =
-        (None, None, None, None, None);
-    let mut tiny = false;
-    let mut i = 0;
-    while i < args.len() {
-        if args[i] == "--tiny" {
-            tiny = true;
-            i += 1;
-            continue;
-        }
-        let value = args
-            .get(i + 1)
-            .ok_or(format!("{} needs a value", args[i]))?;
-        match args[i].as_str() {
+    let (mut workload, mut seed, mut seconds, mut trace) = (None, None, None, None);
+    for pair in args.chunks(2) {
+        let [flag, value] = pair else {
+            return Err(format!("{} needs a value", pair[0]));
+        };
+        match flag.as_str() {
             "--workload" => workload = Some(value.clone()),
             "--seed" => {
                 seed = Some(
@@ -69,33 +51,21 @@ fn parse() -> Result<Mode, String> {
                     _ => return Err(format!("--trace takes 0 or 1, got `{value}`")),
                 })
             }
-            "--replay" => replay_dir = Some(PathBuf::from(value)),
             other => return Err(format!("unknown argument `{other}`")),
         }
-        i += 2;
     }
     let workload = workload.ok_or("--workload is required")?;
     if !WORKLOADS.contains(&workload.as_str()) {
         return Err(format!("unknown workload `{workload}`"));
     }
-    let mut cfg = Config {
+    Ok(Config {
         workload,
         seed: seed.ok_or("--seed is required")?,
-        seconds: 0.0,
-        trace: false,
-        tiny,
+        seconds: seconds.ok_or("--seconds is required")?,
+        trace: trace.ok_or("--trace is required")?,
+        tiny: false,
         out_dir: PathBuf::from("perfbench").join("out"),
-        exe: std::env::current_exe().map_err(|e| format!("own executable: {e}"))?,
-    };
-    if let Some(dir) = replay_dir {
-        return Ok(Mode::Replay(cfg, dir));
-    }
-    if tiny {
-        return Err("--tiny goes with --replay only".into());
-    }
-    cfg.seconds = seconds.ok_or("--seconds is required")?;
-    cfg.trace = trace.ok_or("--trace is required")?;
-    Ok(Mode::Run(cfg))
+    })
 }
 
 fn save(cfg: &Config, outcome: &Outcome, result: &Json) -> std::io::Result<()> {
@@ -121,8 +91,8 @@ fn save(cfg: &Config, outcome: &Outcome, result: &Json) -> std::io::Result<()> {
         let spans_dir = cfg.out_dir.join("spans");
         std::fs::create_dir_all(&spans_dir)?;
         let mut text = String::new();
-        for (pass, list) in outcome.spans.iter().enumerate() {
-            for s in list {
+        for (pass, trace) in outcome.traces.iter().enumerate() {
+            for s in &trace.spans {
                 text.push_str(&spans::span_json(s, pass));
                 text.push('\n');
             }
@@ -137,19 +107,7 @@ fn save(cfg: &Config, outcome: &Outcome, result: &Json) -> std::io::Result<()> {
 
 fn main() -> ExitCode {
     let cfg = match parse() {
-        Ok(Mode::Run(c)) => c,
-        Ok(Mode::Replay(c, dir)) => {
-            return match replay(&c, &dir) {
-                Ok(r) => {
-                    println!("{}", r.to_json());
-                    ExitCode::SUCCESS
-                }
-                Err(e) => {
-                    eprintln!("replay of {} failed: {e}", dir.display());
-                    ExitCode::FAILURE
-                }
-            };
-        }
+        Ok(c) => c,
         Err(e) => {
             eprintln!("{e}\n{USAGE}");
             return ExitCode::from(2);

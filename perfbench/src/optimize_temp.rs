@@ -10,7 +10,7 @@
 //! over the journals the cold ones wrote.
 
 use crate::meta::nproc;
-use crate::run::{self, Checks, Config, Outcome, Pass, Replayed};
+use crate::run::{self, Checks, Config, Outcome, Pass, Replayed, Trace};
 use crate::spans::{self, BenchObserver, TimedCache, Tracer};
 use aging_cache::exec::ExecOptions;
 use aging_cache::model::ModelContext;
@@ -180,16 +180,9 @@ fn one_pass(cfg: &Config, traced: bool, index: usize, checks: &mut Checks) -> Re
     // Measured: the same searches replayed from their journals.
     let json: String = reports.iter().map(SearchReport::to_json).collect();
     let digest = run::digest(json.as_bytes());
-    let replay_start = tracer.as_ref().map(|tr| tr.now());
-    let replayed = run::replays(cfg, &root, 1, tracer.as_ref(), |t| replay(cfg, &root, t))?;
-    let replay_phase = tracer
-        .as_ref()
-        .zip(replay_start)
-        .map(|(tr, s)| (s, tr.now()));
-    for r in &replayed {
-        r.check(checks, &digest);
-    }
-    let replay_s = replayed[0].secs;
+    let replayed = replay(cfg, &root, tracer.as_ref())?;
+    replayed.check(checks, &digest);
+    let replay_s = replayed.secs;
     let _ = std::fs::remove_dir_all(&root);
 
     let probes: usize = reports.iter().map(SearchReport::probes_issued).sum();
@@ -207,9 +200,14 @@ fn one_pass(cfg: &Config, traced: bool, index: usize, checks: &mut Checks) -> Re
         digest,
         ..Pass::default()
     };
-    if let (Some(tr), Some(a), Some(b)) = (&tracer, cold_phase, replay_phase) {
-        pass.spans = tr.spans();
-        let mut layer = run::span_metrics(&pass.spans, &[a, b]);
+    if let (Some(tr), Some(a)) = (&tracer, cold_phase) {
+        pass.trace = Trace {
+            spans: tr.spans(),
+            phases: std::iter::once(a)
+                .chain(std::iter::once(replayed.phase(tr)))
+                .collect(),
+        };
+        let mut layer = run::span_metrics(&pass.trace);
         let sum = |f: &dyn Fn(&aging_cache::session::SessionStats) -> usize| {
             stats.iter().map(f).sum::<usize>() as f64
         };
@@ -250,7 +248,7 @@ pub fn run(cfg: &Config) -> Outcome {
     if cfg.trace {
         run::batch_per_layer(&plain, &traced, &mut out.metrics);
         run::check_reconciled(&mut out.checks, &out.metrics);
-        out.spans = traced.into_iter().map(|p| p.spans).collect();
+        out.traces = traced.into_iter().map(|p| p.trace).collect();
     }
     out
 }

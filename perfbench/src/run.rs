@@ -7,9 +7,7 @@ use aging_cache::json::Json;
 use aging_cache::session::SessionStats;
 use aging_cache::study::{ScenarioGrid, StudyReport};
 use std::collections::{BTreeMap, BTreeSet};
-use std::path::{Path, PathBuf};
-use std::process::Command;
-use std::sync::Arc;
+use std::path::PathBuf;
 use std::time::Instant;
 
 /// One benchmark invocation.
@@ -27,8 +25,6 @@ pub struct Config {
     pub tiny: bool,
     /// Where journals, results and span dumps go.
     pub out_dir: PathBuf,
-    /// The benchmark binary, spawned for fresh-process replays.
-    pub exe: PathBuf,
 }
 
 impl Config {
@@ -142,8 +138,10 @@ pub fn secs(t: Instant) -> f64 {
 }
 
 /// What one journal replay measured.
-#[derive(Debug, Clone, Default, PartialEq)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Replayed {
+    /// When the timed replay started and ended.
+    pub timed: (Instant, Instant),
     /// Fresh session over the journal, open to report, s.
     pub secs: f64,
     /// Digest of the replayed outputs.
@@ -159,8 +157,10 @@ pub struct Replayed {
 impl Replayed {
     /// Builds the record from a replay's timer, outputs and counters.
     pub fn new(started: Instant, outputs: &str, stats: &[SessionStats]) -> Replayed {
+        let ended = Instant::now();
         Replayed {
-            secs: secs(started),
+            timed: (started, ended),
+            secs: ended.duration_since(started).as_secs_f64(),
             digest: digest(outputs.as_bytes()),
             scenarios: stats.iter().map(|s| s.scenarios).sum(),
             hits: stats.iter().map(|s| s.cache_hits).sum(),
@@ -168,36 +168,9 @@ impl Replayed {
         }
     }
 
-    /// The one-line form a replay process prints.
-    pub fn to_json(&self) -> String {
-        Json::obj(vec![
-            ("replay_s", Json::Num(self.secs)),
-            ("digest", Json::Str(self.digest.clone())),
-            ("scenarios", Json::Num(self.scenarios as f64)),
-            ("hits", Json::Num(self.hits as f64)),
-            ("simulations", Json::Num(self.simulations as f64)),
-        ])
-        .emit()
-    }
-
-    fn parse(line: &str) -> Result<Replayed, String> {
-        let v = Json::parse(line).map_err(|e| e.to_string())?;
-        let num = |k: &str| {
-            v.field(k)
-                .and_then(|x| x.as_num(k))
-                .map_err(|e| e.to_string())
-        };
-        Ok(Replayed {
-            secs: num("replay_s")?,
-            digest: v
-                .field("digest")
-                .and_then(|d| d.as_str("digest"))
-                .map_err(|e| e.to_string())?
-                .to_string(),
-            scenarios: num("scenarios")? as usize,
-            hits: num("hits")? as usize,
-            simulations: num("simulations")? as usize,
-        })
+    /// The timed interval in `tracer`'s ns.
+    pub fn phase(&self, tracer: &Tracer) -> (u64, u64) {
+        (tracer.at(self.timed.0), tracer.at(self.timed.1))
     }
 
     /// The replay checks: every scenario a journal hit, nothing
@@ -218,52 +191,6 @@ impl Replayed {
             ],
         );
     }
-}
-
-/// Replays the journal in `dir` `n` times. Untraced, each replay runs
-/// in a fresh process of the benchmark binary (`--replay`), the way a
-/// resumed study meets its journal, so the median spans process-level
-/// variation too; traced, `in_process` runs it under the tracer.
-pub fn replays(
-    cfg: &Config,
-    dir: &Path,
-    n: usize,
-    tracer: Option<&Arc<Tracer>>,
-    in_process: impl Fn(Option<&Arc<Tracer>>) -> Result<Replayed, String>,
-) -> Result<Vec<Replayed>, String> {
-    (0..n)
-        .map(|_| match tracer {
-            Some(_) => in_process(tracer),
-            None => replay_in_fresh_process(cfg, dir),
-        })
-        .collect()
-}
-
-fn replay_in_fresh_process(cfg: &Config, dir: &Path) -> Result<Replayed, String> {
-    let mut cmd = Command::new(&cfg.exe);
-    cmd.args([
-        "--workload",
-        &cfg.workload,
-        "--seed",
-        &cfg.seed.to_string(),
-        "--replay",
-    ])
-    .arg(dir);
-    if cfg.tiny {
-        cmd.arg("--tiny");
-    }
-    let out = cmd
-        .output()
-        .map_err(|e| format!("spawn {}: {e}", cfg.exe.display()))?;
-    let stdout = String::from_utf8_lossy(&out.stdout);
-    if !out.status.success() {
-        return Err(format!(
-            "replay process failed ({}): {}",
-            out.status,
-            String::from_utf8_lossy(&out.stderr).trim()
-        ));
-    }
-    Replayed::parse(stdout.lines().last().unwrap_or_default())
 }
 
 /// The measurements one pass of a batch workload yields.
@@ -287,8 +214,19 @@ pub struct Pass {
     pub digest: String,
     /// Per-layer metrics (traced passes only).
     pub layer: BTreeMap<String, f64>,
-    /// The pass's spans (traced passes only).
+    /// The pass's spans and timed phases (traced passes only).
+    pub trace: Trace,
+}
+
+/// The spans of one traced pass and the timed phases (tracer ns) they
+/// should explain.
+#[derive(Debug, Clone, Default)]
+pub struct Trace {
+    /// Every span recorded.
     pub spans: Vec<Span>,
+    /// The timed intervals: the measured operations of a batch pass,
+    /// the in-flight client requests of serve-warm.
+    pub phases: Vec<(u64, u64)>,
 }
 
 /// A finished run, before formatting.
@@ -302,8 +240,8 @@ pub struct Outcome {
     pub notes: Vec<String>,
     /// Output digests by name.
     pub digests: BTreeMap<String, String>,
-    /// Spans of every traced pass.
-    pub spans: Vec<Vec<Span>>,
+    /// Spans and phases of every traced pass.
+    pub traces: Vec<Trace>,
 }
 
 /// Runs passes of a batch workload for the configured time (at least
@@ -399,9 +337,9 @@ pub fn check_identical(checks: &mut Checks, plain: &[Pass], traced: &[Pass]) {
 }
 
 /// Per-layer metrics of a batch workload's traced passes: the median
-/// of each metric over the passes, plus the overhead ratio of the cold
-/// run against the neighbouring untraced passes (replays are left out:
-/// untraced ones run in a fresh process, traced ones in this one).
+/// of each metric over the passes, plus the overhead ratio of the timed
+/// operations (cold run and replay) against the neighbouring untraced
+/// passes.
 pub fn batch_per_layer(plain: &[Pass], traced: &[Pass], metrics: &mut BTreeMap<String, f64>) {
     let keys: BTreeSet<&String> = traced.iter().flat_map(|p| p.layer.keys()).collect();
     for key in keys {
@@ -411,13 +349,13 @@ pub fn batch_per_layer(plain: &[Pass], traced: &[Pass], metrics: &mut BTreeMap<S
             .collect();
         metrics.insert(key.clone(), median(&values));
     }
-    let wall = |ps: &[Pass]| median(&ps.iter().map(|p| p.wall_s).collect::<Vec<_>>());
+    let wall = |ps: &[Pass]| median(&ps.iter().map(|p| p.wall_s + p.replay_s).collect::<Vec<_>>());
     metrics.insert("trace.overhead".into(), wall(traced) / wall(plain));
 }
 
-/// Per-layer metrics derivable from one pass's spans. `phases` are
-/// the timed intervals (tracer ns) the spans should explain.
-pub fn span_metrics(spans: &[Span], phases: &[(u64, u64)]) -> BTreeMap<String, f64> {
+/// Per-layer metrics derivable from one pass's spans.
+pub fn span_metrics(trace: &Trace) -> BTreeMap<String, f64> {
+    let spans = &trace.spans;
     let (own, tags) = spans::self_times(spans);
     let mut count: BTreeMap<(Kind, &str), f64> = BTreeMap::new();
     let mut busy: BTreeMap<(Kind, &str), f64> = BTreeMap::new();
@@ -471,25 +409,38 @@ pub fn span_metrics(spans: &[Span], phases: &[(u64, u64)]) -> BTreeMap<String, f
     put("rescache.stores", get(&work, Kind::Store, ""));
     put("rescache.store_s", get(&busy, Kind::Store, ""));
 
-    let total: u64 = phases.iter().map(|(a, b)| b - a).sum();
-    let mut explained = 0u64;
-    for &(lo, hi) in phases {
-        let mut iv: Vec<(u64, u64)> = spans.iter().map(|s| (s.start, s.end)).collect();
-        explained += spans::covered(&mut iv, lo, hi);
-    }
-    put(
-        "trace.unattributed",
-        if total > 0 {
-            1.0 - explained as f64 / total as f64
-        } else {
-            0.0
-        },
-    );
+    put("trace.unattributed", unattributed(trace));
     out
 }
 
-/// The traced run's reconciliation check: self times must explain the
-/// timed wall within [`RECONCILE_SLACK`].
+/// The share of the timed phases during which no layer span runs on
+/// any thread. Only the seams that time a layer's own work count
+/// (traces, sim, model, rescache): `scenario` spans are left out, since
+/// each one fills the gap since its worker's previous record and so
+/// covers any time the layer wrappers miss, and so are client requests.
+/// Whatever the session, executor or an unwrapped layer does while no
+/// wrapped layer runs stays unexplained.
+pub fn unattributed(trace: &Trace) -> f64 {
+    let total: u64 = trace.phases.iter().map(|(a, b)| b - a).sum();
+    if total == 0 {
+        return 0.0;
+    }
+    let mut layers: Vec<(u64, u64)> = trace
+        .spans
+        .iter()
+        .filter(|s| !matches!(s.kind, Kind::Scenario | Kind::Request))
+        .map(|s| (s.start, s.end))
+        .collect();
+    let explained: u64 = trace
+        .phases
+        .iter()
+        .map(|&(lo, hi)| spans::covered(&mut layers, lo, hi))
+        .sum();
+    1.0 - explained as f64 / total as f64
+}
+
+/// The traced run's reconciliation check: the layer spans must leave at
+/// most [`RECONCILE_SLACK`] of the timed wall unexplained.
 pub fn check_reconciled(checks: &mut Checks, metrics: &BTreeMap<String, f64>) {
     let unattributed = metrics.get("trace.unattributed").copied().unwrap_or(1.0);
     checks.expect(

@@ -12,14 +12,19 @@
 //! trace seeds), which simulate, evaluate and append beside the reads.
 //!
 //! `max_rate_rps` is the highest rung of a fixed rate ladder whose p99
-//! meets [`LIMIT_MS`] with no growing backlog; `request_p50_ms` is
-//! measured at the fixed [`OFFERED_RPS`]. The window's p99 is printed
-//! with its sample count; per route it is a traced-run metric.
+//! meets [`LIMIT_MS`] with no growing backlog, the median of one search
+//! per round; `request_p50_ms` is measured at the fixed [`OFFERED_RPS`].
+//! The window's p99 is printed with its sample count; per route it is a
+//! traced-run metric.
+//!
+//! The mix shares, the offered rate, the p99 limit and the ladder base
+//! are fixed choices of this benchmark, not measured traffic; what each
+//! stands for is set out in `perfbench/README.md`.
 
 use crate::http::Conn;
 use crate::meta::nproc;
-use crate::run::{self, Checks, Config, Outcome, Replayed};
-use crate::spans::{self, BenchObserver, Kind, Span, TimedCache, Tracer};
+use crate::run::{self, Checks, Config, Outcome, Replayed, Trace};
+use crate::spans::{self, BenchObserver, Kind, TimedCache, Tracer};
 use crate::stats::{median, percentile};
 use aging_cache::analysis::{self, Axis, Query, Reduce};
 use aging_cache::exec::ExecOptions;
@@ -47,14 +52,21 @@ pub const LADDER_BASE_RPS: f64 = 50.0;
 const LADDER_TOP: u32 = 8 * RUNGS_PER_DOUBLING;
 /// Rungs per doubling of the rate: about 4.4 % apart.
 const RUNGS_PER_DOUBLING: u32 = 16;
+/// The rung the first round's ladder search starts from (200
+/// requests/s, well below what the server sustains), in steps of a
+/// doubling.
+const FIRST_RUNG: u32 = 2 * RUNGS_PER_DOUBLING;
+/// The step of every later round's search, which starts from the
+/// previous round's result.
+const LOCAL_STEP: u32 = 2;
 /// How long one ladder rung offers load, s.
 const RUNG_S: f64 = 0.5;
 /// Fewest requests one rung sends.
 const RUNG_MIN: usize = 60;
-/// Rounds of the untraced run: set-up, a share of the window and
-/// replays, each on a fresh server.
+/// Rounds of the untraced run: set-ups, a ladder search, a share of
+/// the window and replays, each on a fresh server.
 const ROUNDS: usize = 5;
-/// Journal replays (each in a fresh process) per round.
+/// Journal replays (each on a fresh session) per round.
 const REPLAYS_PER_ROUND: usize = 2;
 /// Server set-ups per round (the last one serves the round).
 const SETUPS_PER_ROUND: usize = 3;
@@ -310,6 +322,20 @@ struct Sample {
     error: Option<String>,
 }
 
+/// Sleeps until shortly before `due`, then yields until it: a sleeping
+/// thread on an idle virtual CPU can wake late, and that lateness would
+/// count as request latency.
+fn wait_until(due: Instant) {
+    let early = Duration::from_micros(300);
+    let now = Instant::now();
+    if now + early < due {
+        std::thread::sleep(due - now - early);
+    }
+    while Instant::now() < due {
+        std::thread::yield_now();
+    }
+}
+
 /// Sends `plan` open-loop at `rate` over `nproc` connections.
 fn drive(addr: SocketAddr, plan: &[Req], rate: f64, tracer: Option<&Arc<Tracer>>) -> Vec<Sample> {
     let next = AtomicUsize::new(0);
@@ -325,10 +351,7 @@ fn drive(addr: SocketAddr, plan: &[Req], rate: f64, tracer: Option<&Arc<Tracer>>
                     let i = next.fetch_add(1, Ordering::Relaxed);
                     let Some(req) = plan.get(i) else { break };
                     let due = start + Duration::from_secs_f64(i as f64 / rate);
-                    let now = Instant::now();
-                    if now < due {
-                        std::thread::sleep(due - now);
-                    }
+                    wait_until(due);
                     let sent = Instant::now();
                     let lag_ms = sent.saturating_duration_since(due.max(ready)).as_secs_f64() * 1e3;
                     let t_span = tracer.map(|t| t.at(sent));
@@ -389,14 +412,26 @@ fn rung_holds(samples: &[Sample]) -> bool {
     percentile(&lat, 99.0) <= LIMIT_MS && tail_late <= LIMIT_MS
 }
 
-/// The highest ladder rung that holds: exponential search over the
-/// rung index, then bisection (rungs assumed monotone).
-fn max_rate(addr: SocketAddr, mix: &mut Mix, all: &mut Vec<Sample>) -> f64 {
-    let rate = |k: u32| LADDER_BASE_RPS * 2f64.powf(f64::from(k) / f64::from(RUNGS_PER_DOUBLING));
+/// The ladder rate of rung `k`, requests/s.
+fn rung_rate(k: u32) -> f64 {
+    LADDER_BASE_RPS * 2f64.powf(f64::from(k) / f64::from(RUNGS_PER_DOUBLING))
+}
+
+/// The highest ladder rung that holds: steps of `step` rungs from
+/// `from` (up while rungs hold, else down until one does), then
+/// bisection between the last rung that held and the first that failed
+/// (rungs assumed monotone). `None` when not even rung 0 holds.
+fn max_rung(
+    addr: SocketAddr,
+    mix: &mut Mix,
+    all: &mut Vec<Sample>,
+    from: u32,
+    step: u32,
+) -> Option<u32> {
     // A rung gets a second try before it counts as failed: one stall
     // of the shared host must not cut the ladder short.
-    let mut try_rung = |k: u32, all: &mut Vec<Sample>| {
-        let r = rate(k);
+    let mut holds = |k: u32| {
+        let r = rung_rate(k);
         let n = RUNG_MIN.max((r * RUNG_S) as usize);
         (0..2).any(|_| {
             let s = drive(addr, &mix.plan(n), r, None);
@@ -405,30 +440,40 @@ fn max_rate(addr: SocketAddr, mix: &mut Mix, all: &mut Vec<Sample>) -> f64 {
             ok
         })
     };
-    let (mut lo, mut hi) = (None, None);
-    let mut k = 0;
-    while k <= LADDER_TOP {
-        if try_rung(k, all) {
-            lo = Some(k);
-            k += RUNGS_PER_DOUBLING;
-        } else {
-            hi = Some(k);
-            break;
+    let (mut good, mut bad) = if holds(from) {
+        let mut good = from;
+        loop {
+            let k = good + step;
+            if k > LADDER_TOP {
+                break (good, LADDER_TOP + 1);
+            }
+            if !holds(k) {
+                break (good, k);
+            }
+            good = k;
         }
-    }
-    let Some(mut good) = lo else {
-        return 0.0;
+    } else {
+        let mut bad = from;
+        loop {
+            if bad == 0 {
+                return None;
+            }
+            let k = bad.saturating_sub(step);
+            if holds(k) {
+                break (k, bad);
+            }
+            bad = k;
+        }
     };
-    let mut bad = hi.unwrap_or(LADDER_TOP + 1);
     while bad - good > 1 {
         let mid = (good + bad) / 2;
-        if try_rung(mid, all) {
+        if holds(mid) {
             good = mid;
         } else {
             bad = mid;
         }
     }
-    rate(good)
+    Some(good)
 }
 
 /// A running server: its address and the totals read at shutdown.
@@ -610,7 +655,6 @@ fn check_samples(checks: &mut Checks, samples: &[Sample], want: &Expected) {
     }
 }
 
-/// Replays the fill spec on a fresh session over the journal (timed).
 /// The fill spec run on a fresh session over the journal in `dir`:
 /// the report every served answer is checked against.
 fn fill_report(
@@ -672,69 +716,52 @@ fn route_metrics(samples: &[Sample], metrics: &mut BTreeMap<String, f64>) {
     metrics.insert("client.lag_p99_ms".into(), percentile(&lag, 99.0));
 }
 
-/// Server-side span time not covered by any client request, as a share
-/// of all server-side span time: the traced run's reconciliation.
-fn unattributed(spans: &[Span]) -> f64 {
-    let mut requests: Vec<(u64, u64)> = spans
-        .iter()
-        .filter(|s| s.kind == Kind::Request)
-        .map(|s| (s.start, s.end))
-        .collect();
-    let mut server: Vec<(u64, u64)> = spans
-        .iter()
-        .filter(|s| s.kind != Kind::Request)
-        .map(|s| (s.start, s.end))
-        .collect();
-    let total = spans::covered(&mut server, 0, u64::MAX);
-    if total == 0 {
-        return 0.0;
-    }
-    // Merge the request intervals, then measure server time inside them.
-    requests.sort_unstable();
-    let mut merged: Vec<(u64, u64)> = Vec::new();
-    for (s, e) in requests {
-        match merged.last_mut() {
-            Some(last) if s <= last.1 => last.1 = last.1.max(e),
-            _ => merged.push((s, e)),
-        }
-    }
-    let inside: u64 = merged
-        .iter()
-        .map(|&(lo, hi)| spans::covered(&mut server, lo, hi))
-        .sum();
-    1.0 - inside as f64 / total as f64
-}
-
-/// In-process render timings of every render target over the served
-/// report (the render layer the server calls per `/render`).
-fn render_metrics(want: &Expected, repeats: usize, metrics: &mut BTreeMap<String, f64>) {
+/// Render metrics of the traced window. The server renders inside
+/// `serve`, where no public seam reaches, so each render target is
+/// timed here, in-process over the served report (`repeats` times, the
+/// same `render::report` call the server makes per `/render`), and the
+/// served requests are costed at those times: `render.calls` counts the
+/// `/render` requests the window served, `render.busy_s` is their
+/// render time at the measured per-target means, and
+/// `render.records_per_s.*` is each format's in-process rate.
+fn render_metrics(
+    want: &Expected,
+    served: &[Sample],
+    repeats: usize,
+    metrics: &mut BTreeMap<String, f64>,
+) {
     let n = want.report.records().len() as f64;
-    let (mut calls, mut busy) = (0.0, 0.0);
-    for format in Format::ALL {
-        let mut secs = 0.0;
-        let mut rendered = 0.0;
-        for t in render_targets().iter().filter(|t| t.format == format) {
-            for _ in 0..repeats {
-                let start = Instant::now();
-                let body = render::report(
-                    &want.report,
-                    |r| analysis::summary_table(r, &t.group_by, t.baseline),
-                    t.format,
-                );
-                std::hint::black_box(&body);
-                secs += run::secs(start);
-                rendered += n;
-                calls += 1.0;
-            }
+    let targets = render_targets();
+    let mut mean_s = vec![0.0; targets.len()];
+    for (i, t) in targets.iter().enumerate() {
+        let start = Instant::now();
+        for _ in 0..repeats {
+            let body = render::report(
+                &want.report,
+                |r| analysis::summary_table(r, &t.group_by, t.baseline),
+                t.format,
+            );
+            std::hint::black_box(&body);
         }
-        busy += secs;
+        mean_s[i] = run::secs(start) / repeats as f64;
+    }
+    for format in Format::ALL {
+        let (count, secs) = targets
+            .iter()
+            .zip(&mean_s)
+            .filter(|(t, _)| t.format == format)
+            .fold((0.0, 0.0), |(c, s), (_, m)| (c + 1.0, s + m));
         metrics.insert(
             format!("render.records_per_s.{}", format.name()),
-            rendered / secs,
+            count * n / secs,
         );
     }
-    metrics.insert("render.calls".into(), calls);
-    metrics.insert("render.busy_s".into(), busy);
+    let renders: Vec<&Sample> = served.iter().filter(|s| s.route == Route::Render).collect();
+    metrics.insert("render.calls".into(), renders.len() as f64);
+    metrics.insert(
+        "render.busy_s".into(),
+        renders.iter().map(|s| mean_s[s.target]).sum(),
+    );
 }
 
 /// Runs the workload.
@@ -759,7 +786,7 @@ fn mix(cfg: &Config, fill: &Arc<Fill>, compare_body: Vec<u8>, salt: u64) -> Mix 
 
 fn run_inner(cfg: &Config, out: &mut Outcome) -> Result<(), String> {
     let fill = Arc::new(Fill::new(cfg));
-    let window_s = if cfg.tiny { 0.3 } else { 0.6 * cfg.seconds };
+    let window_s = if cfg.tiny { 0.3 } else { 0.3 * cfg.seconds };
     let window_n = ((OFFERED_RPS * window_s) as usize).max(20);
     // Untraced, the window is split over rounds spread across the run,
     // each on its own freshly set-up server and followed by its own
@@ -771,7 +798,7 @@ fn run_inner(cfg: &Config, out: &mut Outcome) -> Result<(), String> {
     let mut window = Vec::new();
     let mut window_wall = 0.0;
     let mut replays = Vec::new();
-    let mut rate = LADDER_BASE_RPS;
+    let mut rungs: Vec<Option<u32>> = Vec::new();
     let mut answers = None;
     for k in 0..rounds {
         // Set-up alone, twice, then the set-up that serves this round:
@@ -788,8 +815,21 @@ fn run_inner(cfg: &Config, out: &mut Outcome) -> Result<(), String> {
                 compare_body = probing_report(&fill, addr)?;
             }
             let mut m = mix(cfg, &fill, compare_body.clone(), k as u64 + 1);
-            if k == rounds / 2 && !cfg.trace && !cfg.tiny {
-                rate = max_rate(addr, &mut m, &mut samples_all);
+            if !cfg.trace {
+                // Round 0 searches in doublings from FIRST_RUNG; later
+                // rounds search near the previous result. Each round is
+                // one estimate.
+                let found = match rungs.last() {
+                    Some(&Some(prev)) => max_rung(addr, &mut m, &mut samples_all, prev, LOCAL_STEP),
+                    _ => max_rung(
+                        addr,
+                        &mut m,
+                        &mut samples_all,
+                        FIRST_RUNG,
+                        RUNGS_PER_DOUBLING,
+                    ),
+                };
+                rungs.push(found);
             }
             let part = drive(addr, &m.plan(window_n / rounds), OFFERED_RPS, None);
             window_wall += part.iter().map(|s| s.done_s).fold(0.0, f64::max);
@@ -802,7 +842,8 @@ fn run_inner(cfg: &Config, out: &mut Outcome) -> Result<(), String> {
         let (report, _) = fill_report(&fill, &dir)?;
         let digest = run::digest(report.to_json().as_bytes());
         if !cfg.trace {
-            for r in run::replays(cfg, &dir, REPLAYS_PER_ROUND, None, |_| replay(cfg, &dir))? {
+            for _ in 0..REPLAYS_PER_ROUND {
+                let r = replay(cfg, &dir)?;
                 r.check(&mut out.checks, &digest);
                 replays.push(r.secs);
             }
@@ -824,9 +865,19 @@ fn run_inner(cfg: &Config, out: &mut Outcome) -> Result<(), String> {
             traced_window = drive(addr, &m.plan(window_n), OFFERED_RPS, Some(&tracer));
             Ok(())
         })?;
+        // The phases to explain are the requests in flight; only part
+        // of them is explainable (see `trace.unattributed` in the README).
         let spans = tracer.spans();
-        let mut layer = run::span_metrics(&spans, &[]);
-        layer.insert("trace.unattributed".into(), unattributed(&spans));
+        let requests: Vec<(u64, u64)> = spans
+            .iter()
+            .filter(|s| s.kind == Kind::Request)
+            .map(|s| (s.start, s.end))
+            .collect();
+        let trace = Trace {
+            phases: spans::merged(requests),
+            spans,
+        };
+        let mut layer = run::span_metrics(&trace);
         route_metrics(&traced_window, &mut layer);
         layer.insert("serve.requests".into(), served.stats.requests as f64);
         layer.insert("serve.errors".into(), served.stats.errors as f64);
@@ -860,11 +911,15 @@ fn run_inner(cfg: &Config, out: &mut Outcome) -> Result<(), String> {
         );
         let p50 = |s: &[Sample]| median(&s.iter().map(|x| x.latency_ms).collect::<Vec<_>>());
         layer.insert("trace.overhead".into(), p50(&traced_window) / p50(&window));
-        render_metrics(&want, if cfg.tiny { 1 } else { 20 }, &mut layer);
+        render_metrics(
+            &want,
+            &traced_window,
+            if cfg.tiny { 1 } else { 20 },
+            &mut layer,
+        );
         out.metrics.append(&mut layer);
         samples_all.extend(traced_window.iter().cloned());
-        out.spans.push(spans);
-        run::check_reconciled(&mut out.checks, &out.metrics);
+        out.traces.push(trace);
     }
 
     check_samples(&mut out.checks, &samples_all, &want);
@@ -872,7 +927,8 @@ fn run_inner(cfg: &Config, out: &mut Outcome) -> Result<(), String> {
         window_metrics(&window, window_wall, &fill, &mut out.metrics);
         out.metrics.insert("setup_s".into(), median(&setups));
         out.metrics.insert("replay_s".into(), median(&replays));
-        out.metrics.insert("max_rate_rps".into(), rate);
+        let rates: Vec<f64> = rungs.iter().map(|k| k.map_or(0.0, rung_rate)).collect();
+        out.metrics.insert("max_rate_rps".into(), median(&rates));
         let mut notes = BTreeMap::new();
         route_metrics(&window, &mut notes);
         let lat: Vec<f64> = window.iter().map(|s| s.latency_ms).collect();
@@ -884,7 +940,7 @@ fn run_inner(cfg: &Config, out: &mut Outcome) -> Result<(), String> {
             notes["client.lag_p99_ms"]
         ));
         out.notes.push(format!(
-            "setups (s): {setups:.4?}; replays (s): {replays:.4?}"
+            "setups (s): {setups:.4?}; replays (s): {replays:.4?}; ladder per round (1/s): {rates:.1?}"
         ));
     }
     out.digests.insert(

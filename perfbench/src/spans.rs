@@ -545,6 +545,19 @@ pub fn covered(intervals: &mut [(u64, u64)], lo: u64, hi: u64) -> u64 {
     total
 }
 
+/// `intervals` sorted, with overlapping ones merged.
+pub fn merged(mut intervals: Vec<(u64, u64)>) -> Vec<(u64, u64)> {
+    intervals.sort_unstable();
+    let mut out: Vec<(u64, u64)> = Vec::new();
+    for (s, e) in intervals {
+        match out.last_mut() {
+            Some(last) if s <= last.1 => last.1 = last.1.max(e),
+            _ => out.push((s, e)),
+        }
+    }
+    out
+}
+
 /// One span as a JSON line (for the span dump written at exit).
 pub fn span_json(s: &Span, pass: usize) -> String {
     format!(
@@ -596,5 +609,6 @@ mod tests {
         let mut iv = vec![(0, 10), (5, 20), (30, 40), (35, 36)];
         assert_eq!(covered(&mut iv, 0, 100), 30);
         assert_eq!(covered(&mut iv, 8, 32), 14);
+        assert_eq!(merged(iv), vec![(0, 20), (30, 40)]);
     }
 }

@@ -9,7 +9,7 @@
 //! it is the only workload on the associative and L1+L2 paths.
 
 use crate::meta::nproc;
-use crate::run::{self, Checks, Config, Outcome, Pass, Replayed};
+use crate::run::{self, Checks, Config, Outcome, Pass, Replayed, Trace};
 use crate::spans::{self, BenchObserver, TimedCache, Tracer};
 use crate::table2_cold::suite_names;
 use aging_cache::exec::ExecOptions;
@@ -116,22 +116,15 @@ fn one_pass(cfg: &Config, traced: bool, index: usize, checks: &mut Checks) -> Re
         .unwrap_or(0);
 
     // Measured: a fresh session replays the same spec from the journal.
-    let replay_start = tracer.as_ref().map(|tr| tr.now());
-    let replayed = run::replays(cfg, &dir, 1, tracer.as_ref(), |t| replay(cfg, &dir, t))?;
-    let replay_phase = tracer
-        .as_ref()
-        .zip(replay_start)
-        .map(|(tr, s)| (s, tr.now()));
-    for r in &replayed {
-        r.check(checks, &digest);
-    }
+    let replayed = replay(cfg, &dir, tracer.as_ref())?;
+    replayed.check(checks, &digest);
     let _ = std::fs::remove_dir_all(&dir);
 
     let distinct = run::distinct_sim_keys(&grid);
     let mut pass = Pass {
         setup_s,
         wall_s,
-        replay_s: replayed[0].secs,
+        replay_s: replayed.secs,
         scenarios: n as f64,
         accesses: (distinct as u64 * grid.scenarios()[0].trace_cycles) as f64,
         probes: n as f64,
@@ -139,12 +132,17 @@ fn one_pass(cfg: &Config, traced: bool, index: usize, checks: &mut Checks) -> Re
         digest,
         ..Pass::default()
     };
-    if let (Some(tr), Some(cp), Some(rp)) = (&tracer, cold_phase, replay_phase) {
-        pass.spans = tr.spans();
-        let mut layer = run::span_metrics(&pass.spans, &[cp, rp]);
+    if let (Some(tr), Some(cp)) = (&tracer, cold_phase) {
+        pass.trace = Trace {
+            spans: tr.spans(),
+            phases: std::iter::once(cp)
+                .chain(std::iter::once(replayed.phase(tr)))
+                .collect(),
+        };
+        let mut layer = run::span_metrics(&pass.trace);
         layer.insert(
             "session.scenarios".into(),
-            (stats.scenarios + replayed[0].scenarios) as f64,
+            (stats.scenarios + replayed.scenarios) as f64,
         );
         layer.insert("session.simulations".into(), stats.simulations as f64);
         layer.insert("session.sim_memo_hits".into(), stats.sim_memo_hits as f64);
@@ -175,7 +173,7 @@ pub fn run(cfg: &Config) -> Outcome {
     if cfg.trace {
         run::batch_per_layer(&plain, &traced, &mut out.metrics);
         run::check_reconciled(&mut out.checks, &out.metrics);
-        out.spans = traced.into_iter().map(|p| p.spans).collect();
+        out.traces = traced.into_iter().map(|p| p.trace).collect();
     }
     out
 }

@@ -9,7 +9,7 @@
 //! the timed run, so the cold run itself never touches a cache.
 
 use crate::meta::nproc;
-use crate::run::{self, Checks, Config, Outcome, Pass, Replayed};
+use crate::run::{self, Checks, Config, Outcome, Pass, Replayed, Trace};
 use crate::spans::{self, BenchObserver, TimedCache, Tracer};
 use aging_cache::exec::ExecOptions;
 use aging_cache::model::ModelContext;
@@ -22,8 +22,9 @@ use std::path::Path;
 use std::sync::Arc;
 use std::time::Instant;
 
-/// Journal replays per pass: a replay takes milliseconds.
-const REPLAYS: usize = 5;
+/// Journal replays per pass: a replay takes a few milliseconds, so
+/// `replay_s` is the median of many.
+const REPLAYS: usize = 15;
 
 /// The suite workload names, in suite order.
 pub fn suite_names() -> Vec<String> {
@@ -53,7 +54,7 @@ fn grid(cfg: &Config, tracer: Option<&Arc<Tracer>>) -> Result<ScenarioGrid, Stri
     };
     let mut harness = repro_bench::default_config();
     if cfg.tiny {
-        harness = harness.with_trace_cycles(4_000);
+        harness = harness.with_trace_cycles(40_000);
     }
     let mut spec = presets::table2(&harness)
         .base_seed(cfg.base_seed())
@@ -128,14 +129,9 @@ fn one_pass(cfg: &Config, traced: bool, index: usize, checks: &mut Checks) -> Re
     }
 
     // Measured: fresh sessions replay from the journal.
-    let replay_start = tracer.as_ref().map(|tr| tr.now());
-    let replayed = run::replays(cfg, &dir, REPLAYS, tracer.as_ref(), |t| {
-        replay(cfg, &dir, t)
-    })?;
-    let replay_phase = tracer
-        .as_ref()
-        .zip(replay_start)
-        .map(|(tr, s)| (s, tr.now()));
+    let replayed = (0..REPLAYS)
+        .map(|_| replay(cfg, &dir, tracer.as_ref()))
+        .collect::<Result<Vec<_>, _>>()?;
     for r in &replayed {
         r.check(checks, &digest);
     }
@@ -156,9 +152,14 @@ fn one_pass(cfg: &Config, traced: bool, index: usize, checks: &mut Checks) -> Re
     };
     pass.layer.insert("table2_lt_err".into(), lt_err);
     pass.layer.insert("table2_esav_err".into(), esav_err);
-    if let (Some(tr), Some(cp), Some(rp)) = (&tracer, cold_phase, replay_phase) {
-        pass.spans = tr.spans();
-        let mut layer = run::span_metrics(&pass.spans, &[cp, rp]);
+    if let (Some(tr), Some(cp)) = (&tracer, cold_phase) {
+        pass.trace = Trace {
+            spans: tr.spans(),
+            phases: std::iter::once(cp)
+                .chain(replayed.iter().map(|r| r.phase(tr)))
+                .collect(),
+        };
+        let mut layer = run::span_metrics(&pass.trace);
         let replay_scenarios: usize = replayed.iter().map(|r| r.scenarios).sum();
         layer.insert(
             "session.scenarios".into(),
@@ -195,7 +196,7 @@ pub fn run(cfg: &Config) -> Outcome {
     if cfg.trace {
         run::batch_per_layer(&plain, &traced, &mut out.metrics);
         run::check_reconciled(&mut out.checks, &out.metrics);
-        out.spans = traced.into_iter().map(|p| p.spans).collect();
+        out.traces = traced.into_iter().map(|p| p.trace).collect();
     }
     out
 }

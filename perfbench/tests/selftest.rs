@@ -1,12 +1,14 @@
 //! The benchmark's self-test: the definition in `BENCHMARK.json` is
 //! well-formed and in step with the layer map, and every workload runs
-//! at a tiny size, untraced and traced, with its output checks passing.
+//! at a tiny size, untraced and traced, with its output checks passing;
+//! the traced run's reconciliation fails when a layer goes untimed.
 //!
 //! `cargo test --release --manifest-path perfbench/Cargo.toml`
 
 use aging_cache::json::Json;
-use perfbench::catalog::{Catalog, ALL, BENCHMARK_JSON, LAYER_MAP, NONE};
-use perfbench::run::{self, Config};
+use perfbench::catalog::{Catalog, ALL, BENCHMARK_JSON, LAYER_MAP, NONE, RECONCILE_SLACK};
+use perfbench::run::{self, Config, Trace};
+use perfbench::spans::Kind;
 use perfbench::{execute, WORKLOADS};
 use std::path::PathBuf;
 
@@ -128,7 +130,6 @@ fn tiny(workload: &str, trace: bool) -> Config {
         tiny: true,
         out_dir: PathBuf::from(env!("CARGO_TARGET_TMPDIR"))
             .join(format!("selftest-{workload}-{trace}")),
-        exe: PathBuf::from(env!("CARGO_BIN_EXE_perfbench")),
     }
 }
 
@@ -187,4 +188,33 @@ fn serve_warm_runs_tiny() {
 #[test]
 fn optimize_temp_runs_tiny() {
     runs_clean("optimize-temp");
+}
+
+#[test]
+fn reconciliation_fails_when_a_layer_wrapper_is_missing() {
+    let cfg = tiny("table2-cold", true);
+    let outcome = execute(&cfg);
+    let _ = std::fs::remove_dir_all(&cfg.out_dir);
+    assert!(!outcome.traces.is_empty(), "the traced run keeps its spans");
+    for trace in &outcome.traces {
+        let all = run::unattributed(trace);
+        // A workload opened without the timed trace source: no `traces`
+        // and no `sim` spans, while the scenario spans remain.
+        let without = Trace {
+            spans: trace
+                .spans
+                .iter()
+                .filter(|s| !matches!(s.kind, Kind::Traces | Kind::Sim))
+                .cloned()
+                .collect(),
+            phases: trace.phases.clone(),
+        };
+        let missing = run::unattributed(&without);
+        eprintln!("unattributed: all layers {all:.4}, without traces/sim {missing:.4}");
+        assert!(all <= RECONCILE_SLACK, "all layers leave {all:.4}");
+        assert!(
+            missing > RECONCILE_SLACK,
+            "without the trace source wrapper only {missing:.4} is unexplained"
+        );
+    }
 }
