@@ -259,49 +259,9 @@ impl PartitionedCache {
         limit: Option<u64>,
         update: UpdateSchedule,
     ) -> Result<SimOutcome, CoreError> {
-        let mut sim = self.build_simulator()?;
-        let mut buf: Vec<Access> = Vec::with_capacity(BATCH_ACCESSES);
-        let mut remaining = limit;
-        loop {
-            let mut room = BATCH_ACCESSES as u64;
-            if let UpdateSchedule::EveryCycles(n) = update {
-                if n > 0 {
-                    room = room.min(n - sim.cycles() % n);
-                }
-            }
-            if let Some(rem) = remaining {
-                room = room.min(rem);
-            }
-            if room == 0 {
-                break;
-            }
-            buf.clear();
-            let got = source.next_batch(&mut buf, room as usize)?;
-            if got == 0 {
-                break;
-            }
-            // `max` is a hard contract: an overshooting source would
-            // wrap the remaining-access budget and fire mapping updates
-            // on the wrong cycles, so reject it instead of trusting it.
-            if got as u64 > room || got != buf.len() {
-                return Err(CoreError::Report {
-                    message: format!(
-                        "trace source violated next_batch contract: \
-                         appended {got} accesses (buffer {}) for max {room}",
-                        buf.len()
-                    ),
-                });
-            }
-            sim.step_batch(&buf);
-            if let Some(rem) = &mut remaining {
-                *rem -= got as u64;
-            }
-            if let UpdateSchedule::EveryCycles(n) = update {
-                if n > 0 && sim.cycles() % n == 0 {
-                    sim.update_mapping()?;
-                }
-            }
-        }
+        let mut sims = [self.build_simulator()?];
+        drive(&mut sims, source, limit, update)?;
+        let [sim] = sims;
         Ok(sim.finish())
     }
 
@@ -325,50 +285,222 @@ impl PartitionedCache {
         limit: Option<u64>,
         update: UpdateSchedule,
     ) -> Result<HierarchyOutcome, CoreError> {
-        let mut hier = CacheHierarchy::new(self.build_simulator()?, l2.build_simulator()?)?;
-        let mut buf: Vec<Access> = Vec::with_capacity(BATCH_ACCESSES);
-        let mut remaining = limit;
-        loop {
-            let mut room = BATCH_ACCESSES as u64;
-            if let UpdateSchedule::EveryCycles(n) = update {
-                if n > 0 {
-                    room = room.min(n - hier.l1().cycles() % n);
-                }
+        let mut hiers = [CacheHierarchy::new(
+            self.build_simulator()?,
+            l2.build_simulator()?,
+        )?];
+        drive(&mut hiers, source, limit, update)?;
+        let [hier] = hiers;
+        Ok(hier.finish())
+    }
+}
+
+/// One target of a fan-out simulation ([`simulate_fanout`]): an L1
+/// alone, or an L1 backed by an L2.
+#[derive(Debug, Clone, Copy)]
+pub struct SimTarget<'a> {
+    /// The first (or only) level.
+    pub l1: &'a PartitionedCache,
+    /// The second level, fed the L1 miss stream.
+    pub l2: Option<&'a PartitionedCache>,
+}
+
+/// What one [`SimTarget`] measured.
+#[derive(Debug, Clone, PartialEq)]
+pub enum FanOutcome {
+    /// A single-level target's outcome.
+    Level(SimOutcome),
+    /// An L1+L2 target's outcome.
+    Hierarchy(HierarchyOutcome),
+}
+
+impl FanOutcome {
+    /// The L1's outcome.
+    pub fn l1(&self) -> &SimOutcome {
+        match self {
+            FanOutcome::Level(out) => out,
+            FanOutcome::Hierarchy(h) => &h.l1,
+        }
+    }
+
+    /// The L2's outcome, for hierarchy targets.
+    pub fn l2(&self) -> Option<&SimOutcome> {
+        match self {
+            FanOutcome::Level(_) => None,
+            FanOutcome::Hierarchy(h) => Some(&h.l2),
+        }
+    }
+
+    /// Checks the outcome's structural invariants (see
+    /// [`SimOutcome::validate`] and [`HierarchyOutcome::validate`]).
+    ///
+    /// # Errors
+    ///
+    /// Returns a description of the first violation.
+    pub fn validate(&self) -> Result<(), String> {
+        match self {
+            FanOutcome::Level(out) => out.validate(),
+            FanOutcome::Hierarchy(h) => h.validate(),
+        }
+    }
+}
+
+/// Streams one [`TraceSource`] through every target at once: each
+/// batch is pulled once and stepped through each target in turn, so a
+/// trace feeding N geometries is generated (or decoded) once instead
+/// of N times. Each outcome is bitwise-identical to the target's own
+/// single-target run ([`PartitionedCache::simulate_source`] or
+/// [`PartitionedCache::simulate_hierarchy_source`]) over the same
+/// stream; outcomes come back in target order.
+///
+/// # Errors
+///
+/// Propagates construction errors of any target, update errors, and
+/// trace decode errors.
+pub fn simulate_fanout(
+    targets: &[SimTarget<'_>],
+    source: &mut dyn TraceSource,
+    limit: Option<u64>,
+    update: UpdateSchedule,
+) -> Result<Vec<FanOutcome>, CoreError> {
+    let mut steppers = targets
+        .iter()
+        .map(|t| {
+            let l1 = t.l1.build_simulator()?;
+            Ok(match t.l2 {
+                None => Stepper::Level(l1),
+                Some(l2) => Stepper::Hierarchy(CacheHierarchy::new(l1, l2.build_simulator()?)?),
+            })
+        })
+        .collect::<Result<Vec<_>, CoreError>>()?;
+    drive(&mut steppers, source, limit, update)?;
+    Ok(steppers
+        .into_iter()
+        .map(|s| match s {
+            Stepper::Level(sim) => FanOutcome::Level(sim.finish()),
+            Stepper::Hierarchy(h) => FanOutcome::Hierarchy(h.finish()),
+        })
+        .collect())
+}
+
+/// The smallest batch the driver pulls, however many targets share it.
+const MIN_FANOUT_BATCH: usize = 512;
+
+/// Something the batch driver steps: one simulator level or a whole
+/// hierarchy.
+trait BatchTarget {
+    fn step_batch(&mut self, batch: &[Access]);
+    fn update_mapping(&mut self) -> Result<(), CoreError>;
+}
+
+impl BatchTarget for Simulator {
+    fn step_batch(&mut self, batch: &[Access]) {
+        Simulator::step_batch(self, batch);
+    }
+    fn update_mapping(&mut self) -> Result<(), CoreError> {
+        Ok(Simulator::update_mapping(self)?)
+    }
+}
+
+impl BatchTarget for CacheHierarchy {
+    fn step_batch(&mut self, batch: &[Access]) {
+        CacheHierarchy::step_batch(self, batch);
+    }
+    fn update_mapping(&mut self) -> Result<(), CoreError> {
+        Ok(CacheHierarchy::update_mapping(self)?)
+    }
+}
+
+/// A fan-out target, built. (A few live per trace pass, so the size
+/// gap between the variants costs nothing worth a box.)
+#[allow(clippy::large_enum_variant)]
+enum Stepper {
+    Level(Simulator),
+    Hierarchy(CacheHierarchy),
+}
+
+impl BatchTarget for Stepper {
+    fn step_batch(&mut self, batch: &[Access]) {
+        match self {
+            Stepper::Level(sim) => sim.step_batch(batch),
+            Stepper::Hierarchy(h) => h.step_batch(batch),
+        }
+    }
+    fn update_mapping(&mut self) -> Result<(), CoreError> {
+        match self {
+            Stepper::Level(sim) => BatchTarget::update_mapping(sim),
+            Stepper::Hierarchy(h) => BatchTarget::update_mapping(h),
+        }
+    }
+}
+
+/// The batch driver behind every source-streaming simulation: pulls
+/// batches from `source` (clipped at `limit` and at update boundaries)
+/// and steps each batch through every freshly built target, firing
+/// mapping updates on all of them at the same cycles. A target steps
+/// one cycle per access, so the driver's own access count is every
+/// target's cycle count.
+///
+/// Each target keeps per-batch scratch, so batches shrink with the
+/// number of targets: N targets share the [`BATCH_ACCESSES`] budget of
+/// one, and fanning a trace out costs no more buffer memory than
+/// simulating it once.
+fn drive<T: BatchTarget>(
+    targets: &mut [T],
+    source: &mut dyn TraceSource,
+    limit: Option<u64>,
+    update: UpdateSchedule,
+) -> Result<(), CoreError> {
+    let batch = (BATCH_ACCESSES / targets.len().max(1)).max(MIN_FANOUT_BATCH) as u64;
+    let mut buf: Vec<Access> = Vec::with_capacity(batch as usize);
+    let mut remaining = limit;
+    let mut cycles = 0u64;
+    loop {
+        let mut room = batch;
+        if let UpdateSchedule::EveryCycles(n) = update {
+            if n > 0 {
+                room = room.min(n - cycles % n);
             }
-            if let Some(rem) = remaining {
-                room = room.min(rem);
-            }
-            if room == 0 {
-                break;
-            }
-            buf.clear();
-            let got = source.next_batch(&mut buf, room as usize)?;
-            if got == 0 {
-                break;
-            }
-            // Same hard contract as `simulate_source`: an overshooting
-            // source would fire updates on the wrong cycles.
-            if got as u64 > room || got != buf.len() {
-                return Err(CoreError::Report {
-                    message: format!(
-                        "trace source violated next_batch contract: \
-                         appended {got} accesses (buffer {}) for max {room}",
-                        buf.len()
-                    ),
-                });
-            }
-            hier.step_batch(&buf);
-            if let Some(rem) = &mut remaining {
-                *rem -= got as u64;
-            }
-            if let UpdateSchedule::EveryCycles(n) = update {
-                if n > 0 && hier.l1().cycles() % n == 0 {
-                    hier.update_mapping()?;
+        }
+        if let Some(rem) = remaining {
+            room = room.min(rem);
+        }
+        if room == 0 {
+            break;
+        }
+        buf.clear();
+        let got = source.next_batch(&mut buf, room as usize)?;
+        if got == 0 {
+            break;
+        }
+        // `max` is a hard contract: an overshooting source would wrap
+        // the remaining-access budget and fire mapping updates on the
+        // wrong cycles, so reject it instead of trusting it.
+        if got as u64 > room || got != buf.len() {
+            return Err(CoreError::Report {
+                message: format!(
+                    "trace source violated next_batch contract: \
+                     appended {got} accesses (buffer {}) for max {room}",
+                    buf.len()
+                ),
+            });
+        }
+        for target in targets.iter_mut() {
+            target.step_batch(&buf);
+        }
+        cycles += got as u64;
+        if let Some(rem) = &mut remaining {
+            *rem -= got as u64;
+        }
+        if let UpdateSchedule::EveryCycles(n) = update {
+            if n > 0 && cycles.is_multiple_of(n) {
+                for target in targets.iter_mut() {
+                    target.update_mapping()?;
                 }
             }
         }
-        Ok(hier.finish())
     }
+    Ok(())
 }
 
 #[cfg(test)]

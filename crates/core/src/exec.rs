@@ -7,13 +7,14 @@
 //! result through one mutex, and its simulation memo died with the
 //! call. The execution layer splits that loop into replaceable parts:
 //!
-//! * an [`Executor`] decides *where* scenario tasks run — in the
-//!   calling thread ([`SequentialExecutor`]), across a
-//!   self-scheduling worker pool ([`ThreadedExecutor`]) whose idle
-//!   workers steal the next unclaimed scenario from a shared atomic
-//!   counter, or across worker *processes* coordinated through a
-//!   shared cache directory ([`ProcessExecutor`] +
-//!   [`crate::distrib`]);
+//! * an [`Executor`] decides *where* tasks run — in the calling
+//!   thread ([`SequentialExecutor`]), across a self-scheduling worker
+//!   pool ([`ThreadedExecutor`]) whose idle workers steal the next
+//!   unclaimed task from a shared atomic counter, or across worker
+//!   *processes* coordinated through a shared cache directory
+//!   ([`ProcessExecutor`] + [`crate::distrib`]). A session's task is
+//!   one work unit: the scenarios of one trace that feeds several
+//!   geometries, or a single scenario;
 //! * [`ExecOptions`] is the declarative knob a caller hands to a
 //!   [`StudySession`](crate::session::StudySession): backend choice
 //!   plus an optional worker cap;
@@ -92,10 +93,12 @@ impl ThreadedExecutor {
     }
 
     fn workers(&self, count: usize) -> usize {
-        let hw = std::thread::available_parallelism()
-            .map(|p| p.get())
-            .unwrap_or(1);
-        self.threads.unwrap_or(hw).clamp(1, count.max(1))
+        let threads = self.threads.unwrap_or_else(|| {
+            std::thread::available_parallelism()
+                .map(|p| p.get())
+                .unwrap_or(1)
+        });
+        threads.clamp(1, count.max(1))
     }
 }
 
@@ -308,6 +311,18 @@ impl ExecOptions {
     pub fn with_threads(mut self, threads: usize) -> Self {
         self.threads = Some(threads.max(1));
         self
+    }
+
+    /// How many tasks the configured executor runs at once (the
+    /// process backend's in-process replay pass runs threaded).
+    pub(crate) fn workers(&self) -> usize {
+        match self.backend {
+            ExecBackend::Sequential => 1,
+            ExecBackend::Threaded | ExecBackend::Process => ThreadedExecutor {
+                threads: self.threads,
+            }
+            .workers(usize::MAX),
+        }
     }
 
     /// Builds the configured executor.

@@ -28,11 +28,31 @@ pub enum Json {
     Obj(Vec<(String, Json)>),
 }
 
+/// Deepest array/object nesting [`Json::parse`] accepts. The parser
+/// recurses once per level, so without a cap one hostile body of
+/// nested `[` would overflow the stack and abort the process.
+pub const MAX_DEPTH: usize = 128;
+
 /// A parse or shape error from the codec.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct JsonError {
     /// What went wrong, with enough context to locate the problem.
     pub message: String,
+    /// Which kind of error this is.
+    pub kind: JsonErrorKind,
+}
+
+/// The kind of a [`JsonError`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum JsonErrorKind {
+    /// Malformed text, or a value of the wrong shape.
+    Invalid,
+    /// Nesting deeper than [`MAX_DEPTH`]; `pos` is the byte offset of
+    /// the bracket that opened the level past the cap.
+    TooDeep {
+        /// Byte offset of the offending `[` or `{`.
+        pos: usize,
+    },
 }
 
 impl fmt::Display for JsonError {
@@ -43,10 +63,15 @@ impl fmt::Display for JsonError {
 
 impl std::error::Error for JsonError {}
 
-fn err<T>(message: impl Into<String>) -> Result<T, JsonError> {
-    Err(JsonError {
+fn invalid(message: impl Into<String>) -> JsonError {
+    JsonError {
         message: message.into(),
-    })
+        kind: JsonErrorKind::Invalid,
+    }
+}
+
+fn err<T>(message: impl Into<String>) -> Result<T, JsonError> {
+    Err(invalid(message))
 }
 
 impl Json {
@@ -185,7 +210,7 @@ impl Json {
     pub fn parse(text: &str) -> Result<Json, JsonError> {
         let bytes = text.as_bytes();
         let mut pos = 0usize;
-        let value = parse_value(bytes, &mut pos)?;
+        let value = parse_value(bytes, &mut pos, 0)?;
         skip_ws(bytes, &mut pos);
         if pos != bytes.len() {
             return err(format!("trailing input at byte {pos}"));
@@ -225,8 +250,15 @@ fn expect(bytes: &[u8], pos: &mut usize, b: u8) -> Result<(), JsonError> {
     }
 }
 
-fn parse_value(bytes: &[u8], pos: &mut usize) -> Result<Json, JsonError> {
+/// Parses one value whose enclosing arrays and objects number `depth`.
+fn parse_value(bytes: &[u8], pos: &mut usize, depth: usize) -> Result<Json, JsonError> {
     skip_ws(bytes, pos);
+    if matches!(bytes.get(*pos), Some(b'[' | b'{')) && depth >= MAX_DEPTH {
+        return Err(JsonError {
+            message: format!("nesting deeper than {MAX_DEPTH} levels at byte {}", *pos),
+            kind: JsonErrorKind::TooDeep { pos: *pos },
+        });
+    }
     match bytes.get(*pos) {
         None => err("unexpected end of input"),
         Some(b'{') => {
@@ -242,7 +274,7 @@ fn parse_value(bytes: &[u8], pos: &mut usize) -> Result<Json, JsonError> {
                 let key = parse_string(bytes, pos)?;
                 skip_ws(bytes, pos);
                 expect(bytes, pos, b':')?;
-                let value = parse_value(bytes, pos)?;
+                let value = parse_value(bytes, pos, depth + 1)?;
                 pairs.push((key, value));
                 skip_ws(bytes, pos);
                 match bytes.get(*pos) {
@@ -264,7 +296,7 @@ fn parse_value(bytes: &[u8], pos: &mut usize) -> Result<Json, JsonError> {
                 return Ok(Json::Arr(items));
             }
             loop {
-                items.push(parse_value(bytes, pos)?);
+                items.push(parse_value(bytes, pos, depth + 1)?);
                 skip_ws(bytes, pos);
                 match bytes.get(*pos) {
                     Some(b',') => *pos += 1,
@@ -325,17 +357,12 @@ fn parse_string(bytes: &[u8], pos: &mut usize) -> Result<String, JsonError> {
                     Some(b'u') => {
                         let hex = bytes
                             .get(*pos + 1..*pos + 5)
-                            .ok_or_else(|| JsonError {
-                                message: "truncated \\u escape".into(),
-                            })
+                            .ok_or_else(|| invalid("truncated \\u escape"))
                             .and_then(|h| {
-                                std::str::from_utf8(h).map_err(|_| JsonError {
-                                    message: "non-ASCII \\u escape".into(),
-                                })
+                                std::str::from_utf8(h).map_err(|_| invalid("non-ASCII \\u escape"))
                             })?;
-                        let code = u32::from_str_radix(hex, 16).map_err(|_| JsonError {
-                            message: format!("bad \\u escape `{hex}`"),
-                        })?;
+                        let code = u32::from_str_radix(hex, 16)
+                            .map_err(|_| invalid(format!("bad \\u escape `{hex}`")))?;
                         out.push(char::from_u32(code).unwrap_or('\u{fffd}'));
                         *pos += 4;
                     }
@@ -346,11 +373,8 @@ fn parse_string(bytes: &[u8], pos: &mut usize) -> Result<String, JsonError> {
             Some(_) => {
                 // Consume one UTF-8 scalar (input is a &str, so this is
                 // always on a boundary).
-                let rest = std::str::from_utf8(bytes.get(*pos..).unwrap_or(&[])).map_err(|_| {
-                    JsonError {
-                        message: "invalid UTF-8".into(),
-                    }
-                })?;
+                let rest = std::str::from_utf8(bytes.get(*pos..).unwrap_or(&[]))
+                    .map_err(|_| invalid("invalid UTF-8"))?;
                 match rest.chars().next() {
                     Some(c) => {
                         out.push(c);
@@ -437,6 +461,37 @@ mod tests {
         let v = Json::parse(r#"{"a": [1, {"b": "c"}, null], "d": false}"#).unwrap();
         assert_eq!(v.field("a").unwrap().as_arr("a").unwrap().len(), 3);
         assert_eq!(v.field("d").unwrap(), &Json::Bool(false));
+    }
+
+    #[test]
+    fn nesting_is_capped_with_a_positioned_error() {
+        let at_cap = format!("{}{}", "[".repeat(MAX_DEPTH), "]".repeat(MAX_DEPTH));
+        assert!(Json::parse(&at_cap).is_ok());
+        let past_cap = format!(
+            " {}{}",
+            "[".repeat(MAX_DEPTH + 1),
+            "]".repeat(MAX_DEPTH + 1)
+        );
+        let e = Json::parse(&past_cap).unwrap_err();
+        assert_eq!(e.kind, JsonErrorKind::TooDeep { pos: MAX_DEPTH + 1 });
+        assert!(
+            e.message.contains(&format!("byte {}", MAX_DEPTH + 1)),
+            "{e}"
+        );
+        // A hostile body far past the cap fails the same way instead of
+        // overflowing the stack; objects count toward the same cap.
+        let hostile = "[".repeat(400 * 1024);
+        let e = Json::parse(&hostile).unwrap_err();
+        assert_eq!(e.kind, JsonErrorKind::TooDeep { pos: MAX_DEPTH });
+        let objects = "{\"a\":".repeat(MAX_DEPTH + 1);
+        assert!(matches!(
+            Json::parse(&objects).unwrap_err().kind,
+            JsonErrorKind::TooDeep { .. }
+        ));
+        assert_eq!(
+            Json::parse("[1,]").unwrap_err().kind,
+            JsonErrorKind::Invalid
+        );
     }
 
     #[test]

@@ -47,7 +47,10 @@
 //! cells they have in common. A claimant that fails releases all of
 //! its claims (and a waiter that outlives the backstop steals the
 //! claim), so an error never wedges the table — at worst a rare
-//! duplicate computation, never a wrong or missing answer.
+//! duplicate computation, never a wrong or missing answer. A session
+//! looks each work unit's cells up in fingerprint order, so two
+//! overlapping grids claim their shared cells in one order and never
+//! each hold a claim the other waits on.
 //!
 //! **Determinism.** The server adds no nondeterminism: responses are
 //! rendered by the same pure functions the CLI uses, cache replay is

@@ -67,18 +67,18 @@
 //! # }
 //! ```
 
-use crate::arch::{PartitionedCache, UpdateSchedule};
+use crate::arch::{simulate_fanout, PartitionedCache, SimTarget, UpdateSchedule};
 use crate::error::CoreError;
-use crate::exec::{ExecObserver, ExecOptions, RecordOrigin};
+use crate::exec::{ExecObserver, ExecOptions, Executor, RecordOrigin, ThreadedExecutor};
 use crate::model::{CalibratedModel, ModelContext, ModelEval};
 use crate::registry::PolicyRegistry;
 use crate::rescache::{workload_identity, CachedMeasurement, Fingerprint, ResultCache};
 use crate::study::{Scenario, ScenarioGrid, ScenarioRecord, StudyReport, StudySpec};
 use crate::workload::{Workload, WorkloadRegistry};
 use cache_sim::CacheGeometry;
-use std::collections::HashMap;
+use std::collections::{BTreeMap, BTreeSet};
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
 
 /// Measured simulation outputs shared by scenarios that differ only in
 /// policy, model or update period.
@@ -93,20 +93,143 @@ pub(crate) struct SimMeasurement {
     l2_sleep_fractions: Option<Vec<f64>>,
 }
 
-/// `(cache_bytes, line_bytes, banks, ways, replacement, l2_cache_bytes,
-/// l2_ways, workload identity, trace_seed, trace_cycles)` → memoized
-/// simulation. The workload identity string (name, or format + content
-/// hash for files — see [`workload_identity`]) replaces the historic
-/// per-grid workload *index*, so the memo is meaningful across grids
-/// within a session. Seed-independent workloads (files, pinned
-/// profiles) key seed 0.
-type SimKey = (u64, u32, u32, u32, String, u64, u32, String, u64, u64);
+/// A trace's identity: `(workload identity, trace_seed, trace_cycles)`.
+/// The workload identity string (name, or format + content hash for
+/// files — see [`workload_identity`]) replaces the historic per-grid
+/// workload *index*, so the memo is meaningful across grids within a
+/// session. Seed-independent workloads (files) key seed 0.
+type TraceKey<S> = (S, u64, u64);
 
-/// The session-scoped simulation memo. Shared across workers and runs;
-/// a racing double-compute always stores the same value, so
-/// first-writer-wins stays deterministic.
-// aging-lint: allow(no-unordered-iter) keyed memo, only ever probed per scenario; never iterated
-pub(crate) type SimMemo = Mutex<HashMap<SimKey, Arc<SimMeasurement>>>;
+/// A simulated geometry: `(cache_bytes, line_bytes, banks, ways,
+/// replacement, l2_cache_bytes, l2_ways)`.
+type GeomKey<S> = (u64, u32, u32, u32, S, u64, u32);
+
+/// `(trace, geometry)` → memoized simulation.
+type SimKey = (TraceKey<String>, GeomKey<String>);
+
+/// A grid's workload identities and whether the seed is part of each
+/// ([`workload_identity`]); `None` for pinned-profile workloads, which
+/// measure without simulating.
+type Identities = [Option<(String, bool)>];
+
+/// A scenario's simulation key, borrowed from the scenario and the
+/// grid's [`Identities`]; `None` for pinned profiles.
+fn scenario_key<'a>(
+    scenario: &'a Scenario,
+    identities: &'a Identities,
+) -> Option<(TraceKey<&'a str>, GeomKey<&'a str>)> {
+    let (identity, seeded) = identities[scenario.workload_index].as_ref()?;
+    Some((
+        (
+            identity,
+            if *seeded { scenario.trace_seed } else { 0 },
+            scenario.trace_cycles,
+        ),
+        (
+            scenario.cache_bytes,
+            scenario.line_bytes,
+            scenario.banks,
+            scenario.ways,
+            &scenario.replacement,
+            scenario.l2_cache_bytes,
+            scenario.l2_ways,
+        ),
+    ))
+}
+
+/// The session-scoped simulation memo, shared across workers and runs.
+///
+/// It is single-flight: a worker *claims* the keys nobody holds before
+/// simulating them, and a worker that finds a key claimed waits for
+/// its measurement instead of simulating it again. A claimant never
+/// waits while holding claims (it publishes or releases them first),
+/// so claims cannot deadlock, and every distinct key simulates once.
+#[derive(Default)]
+pub(crate) struct SimMemo {
+    /// `None` while the key's claimant is simulating it.
+    slots: Mutex<BTreeMap<SimKey, Option<Arc<SimMeasurement>>>>,
+    settled: Condvar,
+}
+
+/// What [`SimMemo::claim`] found for a set of keys.
+#[derive(Default)]
+struct Claimed {
+    /// Already measured.
+    ready: Vec<(SimKey, Arc<SimMeasurement>)>,
+    /// Claimed by the caller, who must publish or release each.
+    mine: Vec<SimKey>,
+    /// Being measured by another worker.
+    elsewhere: Vec<SimKey>,
+}
+
+impl SimMemo {
+    fn slots(&self) -> MutexGuard<'_, BTreeMap<SimKey, Option<Arc<SimMeasurement>>>> {
+        self.slots.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
+    /// Sorts `keys` into measured, newly claimed and in flight.
+    fn claim<'k>(&self, keys: impl IntoIterator<Item = &'k SimKey>) -> Claimed {
+        let mut slots = self.slots();
+        let mut claimed = Claimed::default();
+        for key in keys {
+            match slots.get(key) {
+                Some(Some(m)) => claimed.ready.push((key.clone(), Arc::clone(m))),
+                Some(None) => claimed.elsewhere.push(key.clone()),
+                None => {
+                    slots.insert(key.clone(), None);
+                    claimed.mine.push(key.clone());
+                }
+            }
+        }
+        claimed
+    }
+
+    /// Stores a claimed key's measurement and wakes its waiters.
+    fn publish(&self, key: SimKey, measured: Arc<SimMeasurement>) {
+        self.slots().insert(key, Some(measured));
+        self.settled.notify_all();
+    }
+
+    /// Drops the caller's unpublished claims (the error and panic
+    /// path), so waiters retry them.
+    fn release(&self, keys: &[SimKey]) {
+        let mut slots = self.slots();
+        for key in keys {
+            if matches!(slots.get(key), Some(None)) {
+                slots.remove(key);
+            }
+        }
+        drop(slots);
+        self.settled.notify_all();
+    }
+
+    /// Blocks until no key in `keys` is in flight: each is measured,
+    /// or its claimant released it and it is free to claim.
+    fn wait(&self, keys: &[SimKey]) {
+        let mut slots = self.slots();
+        while keys.iter().any(|k| matches!(slots.get(k), Some(None))) {
+            slots = self
+                .settled
+                .wait(slots)
+                .unwrap_or_else(PoisonError::into_inner);
+        }
+    }
+}
+
+/// A worker's claims on the memo, released on drop unless published
+/// — so neither an error nor a panic mid-simulation strands a waiter.
+struct ClaimGuard<'a> {
+    memo: &'a SimMemo,
+    keys: Vec<SimKey>,
+}
+
+impl Drop for ClaimGuard<'_> {
+    fn drop(&mut self) {
+        if !self.keys.is_empty() {
+            self.memo.release(&self.keys);
+        }
+    }
+}
 
 /// Cumulative execution counters, snapshot by [`StudySession::stats`].
 ///
@@ -121,7 +244,8 @@ pub(crate) type SimMemo = Mutex<HashMap<SimKey, Arc<SimMeasurement>>>;
 pub struct SessionStats {
     /// Scenario records produced (computed or replayed).
     pub scenarios: usize,
-    /// Trace simulations actually executed.
+    /// Trace simulations actually executed: one per geometry
+    /// measured, however many geometries one pass over a trace fed.
     pub simulations: usize,
     /// Scenarios whose simulation was replayed from the session memo.
     pub sim_memo_hits: usize,
@@ -218,7 +342,7 @@ impl StudySession {
             policies: PolicyRegistry::builtin(),
             workloads: WorkloadRegistry::builtin(),
             replacements: cache_sim::ReplacementRegistry::global().clone(),
-            memo: Mutex::new(HashMap::new()), // aging-lint: allow(no-unordered-iter) keyed memo
+            memo: SimMemo::default(),
             cache: None,
             exec: ExecOptions::default(),
             observer: None,
@@ -386,7 +510,7 @@ pub(crate) fn run_grid_oneshot(
         grid,
         &ExecEnv {
             ctx,
-            memo: &Mutex::new(HashMap::new()), // aging-lint: allow(no-unordered-iter) keyed memo
+            memo: &SimMemo::default(),
             cache: None,
             exec: ExecOptions::default(),
             observer: None,
@@ -405,48 +529,36 @@ fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
     }
 }
 
+/// A scenario's outcome as a work unit hands it to the run.
+type Outcome = Result<(ScenarioRecord, RecordOrigin), CoreError>;
+
+/// The calibrated model of every model key in a grid.
+type Models<'a> = BTreeMap<&'a str, Arc<dyn CalibratedModel>>;
+
 fn execute(grid: &ScenarioGrid, env: &ExecEnv<'_>) -> Result<StudyReport, CoreError> {
     // Calibrate every distinct model once, serially and in grid order:
     // deterministic first-error, and the workers below only ever hit
     // the context's calibration memo.
-    // aging-lint: allow(no-unordered-iter) probed per scenario below; iteration order never observed
-    let mut models: HashMap<&str, Arc<dyn CalibratedModel>> = HashMap::new();
+    let mut models = Models::new();
     for scenario in grid.scenarios() {
         if !models.contains_key(scenario.model.as_str()) {
             models.insert(&scenario.model, env.ctx.calibrated(&scenario.model)?);
         }
     }
-    let models = &models;
 
     if let Some(obs) = env.observer {
         obs.on_start(grid.name(), grid.len());
     }
-    let n = grid.len();
-    // One slot per scenario, each behind its own lock: workers write
-    // their own slot independently (no shared results mutex), and the
-    // id-indexed layout keeps the report order deterministic.
-    let slots: Vec<Mutex<Option<Result<ScenarioRecord, CoreError>>>> =
-        (0..n).map(|_| Mutex::new(None)).collect();
-    let done = AtomicUsize::new(0);
-    let task = |i: usize| {
-        // Catch panics so one bad scenario surfaces as a first-class
-        // error — with its id and message — instead of tearing down
-        // the whole process at scope join.
-        let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            run_one(grid, &grid.scenarios()[i], models, env)
-        }))
-        .unwrap_or_else(|payload| {
-            Err(CoreError::ScenarioPanicked {
-                scenario: i,
-                message: panic_message(payload),
-            })
-        });
-        if let (Some(obs), Ok((record, origin))) = (env.observer, &outcome) {
-            let finished = done.fetch_add(1, Ordering::Relaxed) + 1;
-            obs.on_record(record, *origin, finished, n);
-        }
-        *slots[i].lock().expect("slot poisoned") = Some(outcome.map(|(record, _)| record));
-    };
+    let identities: Vec<Option<(String, bool)>> = grid
+        .workloads()
+        .iter()
+        .map(|w| {
+            w.pinned_profile()
+                .is_none()
+                .then(|| workload_identity(w.as_ref()))
+        })
+        .collect();
+    let units = work_units(grid, &identities);
 
     // The spec-level worker cap overrides the session's (threads(1)
     // still forces an in-thread sequential loop, as it always did).
@@ -485,21 +597,75 @@ fn execute(grid: &ScenarioGrid, env: &ExecEnv<'_>) -> Result<StudyReport, CoreEr
             if let Some(threads) = grid.threads_cap() {
                 exec = exec.with_threads(threads);
             }
-            exec.build().execute(n, &task);
-            return assemble(grid, slots, env);
+        } else {
+            let Some(cache) = env.cache else {
+                return Err(CoreError::Report {
+                    message: "process backend requires a result cache over the shared directory \
+                              (attach JsonlCache::in_dir on the same dir)"
+                        .into(),
+                });
+            };
+            crate::distrib::distribute(grid, cache, env.observer, &popts)?;
+            cache.refresh()?;
         }
-        let Some(cache) = env.cache else {
-            return Err(CoreError::Report {
-                message: "process backend requires a result cache over the shared directory \
-                          (attach JsonlCache::in_dir on the same dir)"
-                    .into(),
-            });
-        };
-        crate::distrib::distribute(grid, cache, env.observer, &popts)?;
-        cache.refresh()?;
     }
-    exec.build().execute(n, &task);
-    assemble(grid, slots, env)
+    // A grid with fewer units than workers spreads each unit's
+    // evaluations over the idle workers, so no grid evaluates on fewer
+    // threads than one task per scenario would. (The pool is sized
+    // once: probing the host's parallelism costs tens of µs, a
+    // noticeable share of a warm replay.)
+    let workers = exec.workers();
+    let per_unit = workers / units.len().max(1);
+    let run = UnitRun {
+        grid,
+        models: &models,
+        identities: &identities,
+        env,
+        evals: ThreadedExecutor::with_threads(per_unit),
+        slots: (0..grid.len()).map(|_| Mutex::new(None)).collect(),
+        done: AtomicUsize::new(0),
+    };
+    exec.with_threads(workers)
+        .build()
+        .execute(units.len(), &|u| run.run(&units[u]));
+    assemble(grid, run.slots, env)
+}
+
+/// Partitions a grid into work units by trace identity: the scenarios
+/// of a trace that feeds two or more distinct geometries form one unit
+/// (the trace opens once for all of them); every other scenario is a
+/// unit of one. Units are ordered by their first scenario.
+fn work_units(grid: &ScenarioGrid, identities: &Identities) -> Vec<Vec<usize>> {
+    let keys: Vec<_> = grid
+        .scenarios()
+        .iter()
+        .map(|s| scenario_key(s, identities))
+        .collect();
+    let mut traces: BTreeMap<_, (BTreeSet<_>, Vec<usize>)> = BTreeMap::new();
+    for (i, key) in keys.iter().enumerate() {
+        if let Some((trace, geom)) = key {
+            let entry = traces.entry(trace).or_default();
+            entry.0.insert(geom);
+            entry.1.push(i);
+        }
+    }
+    let mut units = Vec::new();
+    for (i, key) in keys.iter().enumerate() {
+        let shared = key
+            .as_ref()
+            .and_then(|(trace, _)| traces.get_mut(trace))
+            .filter(|(geoms, _)| geoms.len() > 1);
+        match shared {
+            // The trace's first scenario takes the whole group along.
+            Some((_, ids)) => {
+                if !ids.is_empty() {
+                    units.push(std::mem::take(ids));
+                }
+            }
+            None => units.push(vec![i]),
+        }
+    }
+    units
 }
 
 /// Collects the per-scenario slots into the id-ordered report and
@@ -524,203 +690,386 @@ fn assemble(
     Ok(report)
 }
 
-/// Executes one scenario: replay it whole from the result cache if
-/// possible; otherwise simulate (or re-use the session memo) and hand
-/// the measured sleep fractions to the scenario's calibrated device
-/// model.
-fn run_one(
-    grid: &ScenarioGrid,
-    scenario: &Scenario,
-    models: &HashMap<&str, Arc<dyn CalibratedModel>>, // aging-lint: allow(no-unordered-iter) keyed memo
-    env: &ExecEnv<'_>,
-) -> Result<(ScenarioRecord, RecordOrigin), CoreError> {
-    env.counters.scenarios.fetch_add(1, Ordering::Relaxed);
-    let workload = &grid.workloads()[scenario.workload_index];
-    let fingerprint = env
-        .cache
-        .map(|_| Fingerprint::for_scenario(scenario, workload.as_ref()));
-    if let (Some(cache), Some(fp)) = (env.cache, &fingerprint) {
-        if let Some(hit) = cache.lookup(fp)? {
-            env.counters.cache_hits.fetch_add(1, Ordering::Relaxed);
-            return Ok((hit.into_record(scenario.clone()), RecordOrigin::Cached));
+/// Everything a work unit reads while it runs.
+struct UnitRun<'a> {
+    grid: &'a ScenarioGrid,
+    models: &'a Models<'a>,
+    identities: &'a Identities,
+    env: &'a ExecEnv<'a>,
+    /// The pool a unit spreads its evaluations over: more than one
+    /// thread only when the grid has fewer units than workers.
+    evals: ThreadedExecutor,
+    /// One slot per scenario, each behind its own lock: units write
+    /// their own slots independently (no shared results mutex), and
+    /// the id-indexed layout keeps the report order deterministic.
+    slots: Vec<Mutex<Option<Result<ScenarioRecord, CoreError>>>>,
+    /// Records streamed so far.
+    done: AtomicUsize,
+}
+
+impl UnitRun<'_> {
+    /// Runs one work unit to completion. Each scenario's outcome is
+    /// emitted as soon as it is ready. On an error or panic shared by
+    /// several scenarios (a lookup, the trace, a simulation), the
+    /// unit's first scenario without an outcome carries it: the unit's
+    /// other unfinished slots stay empty behind it, so the run still
+    /// reports the first error in grid order.
+    fn run(&self, unit: &[usize]) {
+        self.env
+            .counters
+            .scenarios
+            .fetch_add(unit.len(), Ordering::Relaxed);
+        let outcome =
+            std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| self.run_scenarios(unit)));
+        if let Ok(Ok(())) = outcome {
+            return;
+        }
+        let first_open = unit
+            .iter()
+            .copied()
+            .find(|&i| self.slots[i].lock().expect("slot poisoned").is_none());
+        if let Some(i) = first_open {
+            let e = match outcome {
+                Ok(result) => result.err().unwrap_or(CoreError::WorkerPanicked),
+                Err(payload) => CoreError::ScenarioPanicked {
+                    scenario: i,
+                    message: panic_message(payload),
+                },
+            };
+            self.emit(i, Err(e));
         }
     }
 
-    let measured = simulate(
-        scenario,
-        workload.as_ref(),
-        grid.replacement_registry(),
-        env,
-    )?;
-    let model = &models[scenario.model.as_str()];
-    let policy_builder = || {
-        grid.policy_registry()
-            .build(&scenario.policy, scenario.banks, scenario.policy_seed)
-    };
-    let mut metrics = model.evaluate(&ModelEval {
-        sleep_fractions: &measured.sleep_fractions,
-        p0: workload.p0(),
-        update_days: scenario.update_days,
-        policy: &policy_builder,
-    })?;
-    env.counters.evaluations.fetch_add(1, Ordering::Relaxed);
-    // Metrics inline as top-level record fields in JSON, so a metric
-    // shadowing a record field would emit a duplicate key and vanish
-    // on parse — reject it loudly instead. Hierarchy scenarios append
-    // `sleep_fraction_l2` / `lt_years_l2` below, so those names are
-    // reserved too when an L2 is present.
-    for name in metrics.names() {
-        if ScenarioRecord::RESERVED_FIELDS.contains(&name)
-            || (measured.l2_sleep_fractions.is_some()
-                && (name == "sleep_fraction_l2" || name == "lt_years_l2"))
-        {
-            return Err(CoreError::Report {
-                message: format!(
-                    "model `{}` emits metric `{name}`, which shadows a record field",
-                    scenario.model
-                ),
-            });
+    /// Stores one scenario's outcome and streams it to the observer.
+    fn emit(&self, i: usize, outcome: Outcome) {
+        if let (Some(obs), Ok((record, origin))) = (self.env.observer, &outcome) {
+            let finished = self.done.fetch_add(1, Ordering::Relaxed) + 1;
+            obs.on_record(record, *origin, finished, self.slots.len());
+        }
+        *self.slots[i].lock().expect("slot poisoned") = Some(outcome.map(|(record, _)| record));
+    }
+
+    /// Looks `scenarios` up in the result cache in fingerprint order,
+    /// then simulates what the misses need and evaluates each miss.
+    /// Serve's coalescing cache claims a fingerprint when a lookup
+    /// misses, so one fixed lookup order across units is what keeps
+    /// two overlapping runs from each holding a claim the other waits
+    /// on. A fingerprint repeated within `scenarios` is looked up once
+    /// here and again after its first copy is stored.
+    fn run_scenarios(&self, scenarios: &[usize]) -> Result<(), CoreError> {
+        let grid_scenarios = self.grid.scenarios();
+        let mut misses: Vec<(usize, Option<Fingerprint>)> = Vec::new();
+        let mut repeats = Vec::new();
+        match self.env.cache {
+            Some(cache) => {
+                let mut fingerprints: Vec<(Fingerprint, usize)> = scenarios
+                    .iter()
+                    .map(|&i| {
+                        (
+                            Fingerprint::for_scenario(&grid_scenarios[i], self.workload(i)),
+                            i,
+                        )
+                    })
+                    .collect();
+                fingerprints
+                    .sort_by(|a, b| a.0.canonical().cmp(b.0.canonical()).then(a.1.cmp(&b.1)));
+                let mut previous: Option<&str> = None;
+                for (fp, i) in &fingerprints {
+                    if previous == Some(fp.canonical()) {
+                        repeats.push(*i);
+                        continue;
+                    }
+                    previous = Some(fp.canonical());
+                    match cache.lookup(fp) {
+                        Ok(Some(hit)) => {
+                            self.env.counters.cache_hits.fetch_add(1, Ordering::Relaxed);
+                            let record = hit.into_record(grid_scenarios[*i].clone());
+                            self.emit(*i, Ok((record, RecordOrigin::Cached)));
+                        }
+                        Ok(None) => misses.push((*i, Some(fp.clone()))),
+                        Err(e) => self.emit(*i, Err(e)),
+                    }
+                }
+                misses.sort_by_key(|m| m.0);
+                repeats.sort_unstable();
+            }
+            None => misses = scenarios.iter().map(|&i| (i, None)).collect(),
+        }
+        if !misses.is_empty() {
+            let measured = self.simulate(&misses)?;
+            let evaluate = |k: usize| {
+                let (i, fp) = &misses[k];
+                let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                    self.evaluate(*i, &measured, fp.as_ref())
+                }))
+                .unwrap_or_else(|payload| {
+                    Err(CoreError::ScenarioPanicked {
+                        scenario: *i,
+                        message: panic_message(payload),
+                    })
+                });
+                self.emit(*i, outcome);
+            };
+            self.evals.execute(misses.len(), &evaluate);
+        }
+        if repeats.is_empty() {
+            Ok(())
+        } else {
+            self.run_scenarios(&repeats)
         }
     }
-    // Hierarchy scenarios carry the L2's view as two extra metrics:
-    // the average L2 sleep fraction (the induced-idleness headline) and
-    // the L2 lifetime under the same device model. Both ride the open
-    // metrics map, so pre-hierarchy readers parse them like any other
-    // model output.
-    if let Some(l2_fractions) = &measured.l2_sleep_fractions {
-        let avg = l2_fractions.iter().sum::<f64>() / l2_fractions.len().max(1) as f64;
-        let l2_metrics = model.evaluate(&ModelEval {
-            sleep_fractions: l2_fractions,
+
+    fn workload(&self, i: usize) -> &dyn Workload {
+        let scenario = &self.grid.scenarios()[i];
+        self.grid.workloads()[scenario.workload_index].as_ref()
+    }
+
+    /// The measurement of every miss, by scenario id: simulates each
+    /// distinct geometry the misses need that the memo neither holds
+    /// nor has in flight — all of them off one pass over the trace —
+    /// and waits out the ones another worker is simulating.
+    /// Pinned-profile workloads skip simulation entirely: their sleep
+    /// fractions *are* the measurement, and the trace-derived metrics
+    /// are honestly absent (`NaN` / zero cycles).
+    fn simulate(
+        &self,
+        misses: &[(usize, Option<Fingerprint>)],
+    ) -> Result<BTreeMap<usize, Arc<SimMeasurement>>, CoreError> {
+        let mut out = BTreeMap::new();
+        // Distinct keys, each with the first miss that needs it.
+        let mut needed: BTreeMap<SimKey, usize> = BTreeMap::new();
+        let mut keys = Vec::with_capacity(misses.len());
+        for &(i, _) in misses {
+            let scenario = &self.grid.scenarios()[i];
+            match scenario_key(scenario, self.identities) {
+                Some(((identity, seed, cycles), (c, l, b, w, r, l2, l2w))) => {
+                    let key = (
+                        (identity.to_string(), seed, cycles),
+                        (c, l, b, w, r.to_string(), l2, l2w),
+                    );
+                    needed.entry(key.clone()).or_insert(i);
+                    keys.push((i, key));
+                }
+                None => {
+                    let profile = self.workload(i).pinned_profile().unwrap_or_default();
+                    out.insert(
+                        i,
+                        Arc::new(SimMeasurement {
+                            cycles: 0,
+                            esav: f64::NAN,
+                            miss_rate: f64::NAN,
+                            useful_idleness: profile.to_vec(),
+                            sleep_fractions: profile.to_vec(),
+                            l2_sleep_fractions: None,
+                        }),
+                    );
+                }
+            }
+        }
+        let mut have: BTreeMap<SimKey, Arc<SimMeasurement>> = BTreeMap::new();
+        let mut simulated = 0;
+        let memo = self.env.memo;
+        loop {
+            let claimed = memo.claim(needed.keys().filter(|k| !have.contains_key(*k)));
+            have.extend(claimed.ready);
+            if !claimed.mine.is_empty() {
+                let mut guard = ClaimGuard {
+                    memo,
+                    keys: claimed.mine,
+                };
+                let reps: Vec<usize> = guard.keys.iter().map(|k| needed[k]).collect();
+                let measured = self.simulate_trace(&reps)?;
+                self.env
+                    .counters
+                    .simulations
+                    .fetch_add(measured.len(), Ordering::Relaxed);
+                simulated += measured.len();
+                for (key, m) in std::mem::take(&mut guard.keys).into_iter().zip(measured) {
+                    memo.publish(key.clone(), Arc::clone(&m));
+                    have.insert(key, m);
+                }
+            }
+            if claimed.elsewhere.is_empty() {
+                break;
+            }
+            // Another worker is simulating these; the next pass picks
+            // up their measurements, or claims what a failed claimant
+            // released.
+            memo.wait(&claimed.elsewhere);
+        }
+        self.env
+            .counters
+            .sim_memo_hits
+            .fetch_add(keys.len() - simulated, Ordering::Relaxed);
+        for (i, key) in keys {
+            out.insert(i, Arc::clone(&have[&key]));
+        }
+        Ok(out)
+    }
+
+    /// Simulates the geometries of scenarios `reps` — which share one
+    /// trace — off a single pass over that trace: the simulation
+    /// executes under the identity mapping with no mid-trace updates,
+    /// so its outcome depends only on the geometry, workload and trace
+    /// parameters, not on the policy, model or update-period axes.
+    /// Measurements come back in `reps` order.
+    fn simulate_trace(&self, reps: &[usize]) -> Result<Vec<Arc<SimMeasurement>>, CoreError> {
+        let scenarios = self.grid.scenarios();
+        let replacements = self.grid.replacement_registry();
+        let identity = |geom: CacheGeometry, scenario: &Scenario| {
+            PartitionedCache::new_named(geom, "identity", PolicyRegistry::global().clone())?
+                .with_replacement(&scenario.replacement, replacements.clone())
+        };
+        let mut levels = Vec::with_capacity(reps.len());
+        for &i in reps {
+            let s = &scenarios[i];
+            let l1 = identity(
+                CacheGeometry::new(s.cache_bytes, s.line_bytes, s.ways, s.banks)?,
+                s,
+            )?;
+            let l2 = if s.l2_cache_bytes > 0 {
+                Some(identity(
+                    CacheGeometry::new(s.l2_cache_bytes, s.line_bytes, s.l2_ways, s.banks)?,
+                    s,
+                )?)
+            } else {
+                None
+            };
+            levels.push((l1, l2));
+        }
+        let targets: Vec<SimTarget<'_>> = levels
+            .iter()
+            .map(|(l1, l2)| SimTarget {
+                l1,
+                l2: l2.as_ref(),
+            })
+            .collect();
+        let Some(&first) = reps.first() else {
+            return Ok(Vec::new());
+        };
+        let scenario = &scenarios[first];
+        // Stream the workload through the batched fast path: synthetic
+        // generators and multi-GB trace files both run in constant
+        // memory, with bitwise-identical outcomes to the scalar loop.
+        let outcomes = {
+            let mut source = self.workload(first).open(scenario.trace_seed)?;
+            simulate_fanout(
+                &targets,
+                source.as_mut(),
+                Some(scenario.trace_cycles),
+                UpdateSchedule::Never,
+            )?
+        };
+        outcomes
+            .into_iter()
+            .map(|out| {
+                debug_assert!(out.validate().is_ok(), "{:?}", out.validate());
+                let l1 = out.l1();
+                if l1.accesses == 0 {
+                    return Err(CoreError::Report {
+                        message: format!(
+                            "workload `{}` produced no accesses (empty trace?)",
+                            scenario.workload
+                        ),
+                    });
+                }
+                Ok(Arc::new(SimMeasurement {
+                    cycles: l1.cycles,
+                    esav: l1.energy_saving(),
+                    miss_rate: l1.miss_rate(),
+                    useful_idleness: l1.useful_idleness_all(),
+                    sleep_fractions: l1.sleep_fraction_all(),
+                    l2_sleep_fractions: out.l2().map(|l2| l2.sleep_fraction_all()),
+                }))
+            })
+            .collect()
+    }
+
+    /// Hands a miss's measured sleep fractions to its calibrated device
+    /// model, journals the record and returns it.
+    fn evaluate(
+        &self,
+        i: usize,
+        measured: &BTreeMap<usize, Arc<SimMeasurement>>,
+        fingerprint: Option<&Fingerprint>,
+    ) -> Outcome {
+        let scenario = &self.grid.scenarios()[i];
+        let workload = self.workload(i);
+        let measured = &measured[&i];
+        let model = &self.models[scenario.model.as_str()];
+        let policy_builder = || {
+            self.grid.policy_registry().build(
+                &scenario.policy,
+                scenario.banks,
+                scenario.policy_seed,
+            )
+        };
+        let mut metrics = model.evaluate(&ModelEval {
+            sleep_fractions: &measured.sleep_fractions,
             p0: workload.p0(),
             update_days: scenario.update_days,
             policy: &policy_builder,
         })?;
-        metrics.push("sleep_fraction_l2", avg);
-        metrics.push(
-            "lt_years_l2",
-            l2_metrics.get(crate::model::METRIC_LT).unwrap_or(f64::NAN),
-        );
-    }
+        self.env
+            .counters
+            .evaluations
+            .fetch_add(1, Ordering::Relaxed);
+        // Metrics inline as top-level record fields in JSON, so a metric
+        // shadowing a record field would emit a duplicate key and vanish
+        // on parse — reject it loudly instead. Hierarchy scenarios append
+        // `sleep_fraction_l2` / `lt_years_l2` below, so those names are
+        // reserved too when an L2 is present.
+        for name in metrics.names() {
+            if ScenarioRecord::RESERVED_FIELDS.contains(&name)
+                || (measured.l2_sleep_fractions.is_some()
+                    && (name == "sleep_fraction_l2" || name == "lt_years_l2"))
+            {
+                return Err(CoreError::Report {
+                    message: format!(
+                        "model `{}` emits metric `{name}`, which shadows a record field",
+                        scenario.model
+                    ),
+                });
+            }
+        }
+        // Hierarchy scenarios carry the L2's view as two extra metrics:
+        // the average L2 sleep fraction (the induced-idleness headline) and
+        // the L2 lifetime under the same device model. Both ride the open
+        // metrics map, so pre-hierarchy readers parse them like any other
+        // model output.
+        if let Some(l2_fractions) = &measured.l2_sleep_fractions {
+            let avg = l2_fractions.iter().sum::<f64>() / l2_fractions.len().max(1) as f64;
+            let l2_metrics = model.evaluate(&ModelEval {
+                sleep_fractions: l2_fractions,
+                p0: workload.p0(),
+                update_days: scenario.update_days,
+                policy: &policy_builder,
+            })?;
+            metrics.push("sleep_fraction_l2", avg);
+            metrics.push(
+                "lt_years_l2",
+                l2_metrics.get(crate::model::METRIC_LT).unwrap_or(f64::NAN),
+            );
+        }
 
-    let record = ScenarioRecord {
-        scenario: scenario.clone(),
-        sim_cycles: measured.cycles,
-        esav: measured.esav,
-        miss_rate: measured.miss_rate,
-        useful_idleness: measured.useful_idleness.clone(),
-        sleep_fractions: measured.sleep_fractions.clone(),
-        metrics,
-    };
-    if let (Some(cache), Some(fp)) = (env.cache, &fingerprint) {
-        cache.store(fp, &CachedMeasurement::of_record(&record))?;
-        env.counters.cache_stores.fetch_add(1, Ordering::Relaxed);
+        let record = ScenarioRecord {
+            scenario: scenario.clone(),
+            sim_cycles: measured.cycles,
+            esav: measured.esav,
+            miss_rate: measured.miss_rate,
+            useful_idleness: measured.useful_idleness.clone(),
+            sleep_fractions: measured.sleep_fractions.clone(),
+            metrics,
+        };
+        if let (Some(cache), Some(fp)) = (self.env.cache, fingerprint) {
+            cache.store(fp, &CachedMeasurement::of_record(&record))?;
+            self.env
+                .counters
+                .cache_stores
+                .fetch_add(1, Ordering::Relaxed);
+        }
+        Ok((record, RecordOrigin::Computed))
     }
-    Ok((record, RecordOrigin::Computed))
-}
-
-/// Simulates a scenario's trace, or reuses a memoized run: the
-/// simulation executes under the identity mapping with no mid-trace
-/// updates, so its outcome depends only on the geometry, workload and
-/// trace parameters — not on the policy, model or update-period axes.
-/// Pinned-profile workloads skip simulation entirely: their sleep
-/// fractions *are* the measurement, and the trace-derived metrics are
-/// honestly absent (`NaN` / zero cycles).
-fn simulate(
-    scenario: &Scenario,
-    workload: &dyn Workload,
-    replacements: &cache_sim::ReplacementRegistry,
-    env: &ExecEnv<'_>,
-) -> Result<Arc<SimMeasurement>, CoreError> {
-    if let Some(profile) = workload.pinned_profile() {
-        return Ok(Arc::new(SimMeasurement {
-            cycles: 0,
-            esav: f64::NAN,
-            miss_rate: f64::NAN,
-            useful_idleness: profile.to_vec(),
-            sleep_fractions: profile.to_vec(),
-            l2_sleep_fractions: None,
-        }));
-    }
-    let (identity, seeded) = workload_identity(workload);
-    let key = (
-        scenario.cache_bytes,
-        scenario.line_bytes,
-        scenario.banks,
-        scenario.ways,
-        scenario.replacement.clone(),
-        scenario.l2_cache_bytes,
-        scenario.l2_ways,
-        identity,
-        if seeded { scenario.trace_seed } else { 0 },
-        scenario.trace_cycles,
-    );
-    if let Some(hit) = env.memo.lock().expect("memo poisoned").get(&key) {
-        env.counters.sim_memo_hits.fetch_add(1, Ordering::Relaxed);
-        return Ok(Arc::clone(hit));
-    }
-    let geom = CacheGeometry::new(
-        scenario.cache_bytes,
-        scenario.line_bytes,
-        scenario.ways,
-        scenario.banks,
-    )?;
-    let arch = PartitionedCache::new_named(geom, "identity", PolicyRegistry::global().clone())?
-        .with_replacement(&scenario.replacement, replacements.clone())?;
-    // Stream the workload through the batched fast path: synthetic
-    // generators and multi-GB trace files both run in constant
-    // memory, with bitwise-identical outcomes to the scalar loop.
-    let mut source = workload.open(scenario.trace_seed)?;
-    let (out, l2_out) = if scenario.l2_cache_bytes > 0 {
-        let l2_geom = CacheGeometry::new(
-            scenario.l2_cache_bytes,
-            scenario.line_bytes,
-            scenario.l2_ways,
-            scenario.banks,
-        )?;
-        let l2 =
-            PartitionedCache::new_named(l2_geom, "identity", PolicyRegistry::global().clone())?
-                .with_replacement(&scenario.replacement, replacements.clone())?;
-        let out = arch.simulate_hierarchy_source(
-            &l2,
-            source.as_mut(),
-            Some(scenario.trace_cycles),
-            UpdateSchedule::Never,
-        )?;
-        debug_assert!(out.validate().is_ok(), "{:?}", out.validate());
-        (out.l1, Some(out.l2))
-    } else {
-        let out = arch.simulate_source(
-            source.as_mut(),
-            Some(scenario.trace_cycles),
-            UpdateSchedule::Never,
-        )?;
-        (out, None)
-    };
-    if out.accesses == 0 {
-        return Err(CoreError::Report {
-            message: format!(
-                "workload `{}` produced no accesses (empty trace?)",
-                scenario.workload
-            ),
-        });
-    }
-    debug_assert!(out.validate().is_ok(), "{:?}", out.validate());
-    env.counters.simulations.fetch_add(1, Ordering::Relaxed);
-    let measured = Arc::new(SimMeasurement {
-        cycles: out.cycles,
-        esav: out.energy_saving(),
-        miss_rate: out.miss_rate(),
-        useful_idleness: out.useful_idleness_all(),
-        sleep_fractions: out.sleep_fraction_all(),
-        l2_sleep_fractions: l2_out.map(|l2| l2.sleep_fraction_all()),
-    });
-    // A racing worker may have inserted meanwhile; identical inputs
-    // give identical outputs, so either value is fine to keep.
-    env.memo
-        .lock()
-        .expect("memo poisoned")
-        .insert(key, Arc::clone(&measured));
-    Ok(measured)
 }
 
 #[cfg(test)]

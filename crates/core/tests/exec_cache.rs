@@ -9,7 +9,11 @@ use aging_cache::presets;
 use aging_cache::rescache::{JsonlCache, MemoryCache};
 use aging_cache::session::StudySession;
 use aging_cache::study::StudySpec;
+use aging_cache::workload::{Workload, WorkloadRegistry, WorkloadSourceInfo};
 use aging_cache::CoreError;
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::Arc;
+use trace_synth::source::TraceSource;
 
 fn grid_spec(session: &StudySession) -> StudySpec {
     session
@@ -103,6 +107,105 @@ fn sequential_threaded_and_multi_process_reports_are_byte_identical() {
     assert_eq!(stats.simulations, 0);
     assert_eq!(stats.cache_hits, n);
     std::fs::remove_dir_all(&dir).unwrap();
+}
+
+/// A suite workload that counts how often its trace is opened.
+struct CountingWorkload {
+    inner: Arc<dyn Workload>,
+    opens: AtomicUsize,
+}
+
+impl Workload for CountingWorkload {
+    fn name(&self) -> &str {
+        self.inner.name()
+    }
+    fn p0(&self) -> f64 {
+        self.inner.p0()
+    }
+    fn source_info(&self) -> Option<WorkloadSourceInfo> {
+        self.inner.source_info()
+    }
+    fn pinned_profile(&self) -> Option<&[f64]> {
+        self.inner.pinned_profile()
+    }
+    fn open(&self, seed: u64) -> Result<Box<dyn TraceSource>, CoreError> {
+        self.opens.fetch_add(1, Ordering::Relaxed);
+        self.inner.open(seed)
+    }
+}
+
+/// The Table II preset at test length (the three-way pin's grid), its
+/// workload axis swapped for counting twins of the same suite.
+fn counted_table2() -> (StudySpec, Vec<Arc<CountingWorkload>>) {
+    let builtin = WorkloadRegistry::builtin();
+    let spec = presets::table2(&ExperimentConfig::paper_reference()).trace_cycles(40_000);
+    let counting: Vec<Arc<CountingWorkload>> = trace_synth::suite::mediabench()
+        .iter()
+        .map(|p| {
+            Arc::new(CountingWorkload {
+                inner: Arc::clone(builtin.get(p.name()).unwrap()),
+                opens: AtomicUsize::new(0),
+            })
+        })
+        .collect();
+    let objects = counting.iter().map(|w| Arc::clone(w) as Arc<dyn Workload>);
+    (spec.workload_objects(objects), counting)
+}
+
+fn opens(counting: &[Arc<CountingWorkload>]) -> Vec<usize> {
+    counting
+        .iter()
+        .map(|w| w.opens.load(Ordering::Relaxed))
+        .collect()
+}
+
+#[test]
+fn each_trace_opens_once_for_all_of_its_geometries() {
+    let plain = presets::table2(&ExperimentConfig::paper_reference()).trace_cycles(40_000);
+    let reference = StudySession::new()
+        .exec(ExecOptions::sequential())
+        .run(&plain)
+        .unwrap()
+        .to_json();
+    for exec in [ExecOptions::sequential(), ExecOptions::threaded()] {
+        let (spec, counting) = counted_table2();
+        let session = StudySession::new().exec(exec.clone());
+        let report = session.run(&spec).unwrap();
+        assert_eq!(report.to_json(), reference, "{exec:?}: the three-way pin");
+        assert_eq!(
+            opens(&counting),
+            vec![1; 18],
+            "{exec:?}: one open per trace"
+        );
+        let stats = session.stats();
+        assert_eq!(stats.simulations, 54, "{exec:?}: one per distinct sim key");
+        assert_eq!(stats.sim_memo_hits, 0);
+    }
+}
+
+#[test]
+fn a_partially_warm_run_simulates_only_the_missing_geometries() {
+    let session = StudySession::new().cache(MemoryCache::new());
+    let (spec, counting) = counted_table2();
+    session.run(&spec.clone().cache_kb([16])).unwrap();
+    assert_eq!(session.stats().simulations, 18);
+    assert_eq!(opens(&counting), vec![1; 18]);
+
+    let report = session.run(&spec).unwrap();
+    let stats = session.stats();
+    assert_eq!(stats.cache_hits, 18, "the 16 kB column replays");
+    assert_eq!(
+        stats.simulations,
+        18 + 36,
+        "8 and 32 kB simulate, once each"
+    );
+    assert_eq!(
+        opens(&counting),
+        vec![2; 18],
+        "one more open per trace for both missing sizes"
+    );
+    let cold = StudySession::new().run(&spec).unwrap();
+    assert_eq!(report.to_json(), cold.to_json());
 }
 
 #[test]

@@ -194,12 +194,25 @@ impl WorkloadProfile {
             .regions
             .clone()
             .map(|rs| rs.iter().map(Region::cursor).collect::<Vec<RegionCursor>>());
+        let slot_totals = self
+            .schedule
+            .slots()
+            .iter()
+            .map(|s| s.weights.iter().sum())
+            .collect();
         TraceGen {
             profile: self.clone(),
             rng: SplitMix64::new(seed).derive(0x7261_6365),
             cursors,
+            slot_totals,
+            burst_prob: (self.leak_through * self.burst_period as f64 / self.burst_len as f64)
+                .min(1.0),
             cycle: 0,
-            epoch_cycles: self.schedule.period_cycles(),
+            in_period: 0,
+            in_slot: 0,
+            slot: 0,
+            active_segment: 0,
+            in_burst_window: 0,
         }
     }
 }
@@ -285,14 +298,51 @@ pub struct TraceGen {
     profile: WorkloadProfile,
     rng: SplitMix64,
     cursors: [Vec<RegionCursor>; REF_BANKS],
+    /// Each slot's weight total, summed once.
+    slot_totals: Vec<f64>,
+    /// Chance that a migrating access inside a burst window leaks to
+    /// an inactive segment.
+    burst_prob: f64,
     cycle: u64,
-    epoch_cycles: u64,
+    // Wrap-around counters standing in for the divisions of `cycle`:
+    // `cycle % period`, the cycle within the slot, the unclamped slot
+    // index (`cycle % period / slot_cycles`), the epoch's segment
+    // (`cycle / period % segments`) and `cycle % burst_period`.
+    in_period: u64,
+    in_slot: u64,
+    slot: usize,
+    active_segment: u32,
+    in_burst_window: u64,
 }
 
 impl TraceGen {
     /// Cycles generated so far.
     pub fn cycle(&self) -> u64 {
         self.cycle
+    }
+
+    /// Advances the wrap-around counters by one cycle.
+    fn tick(&mut self) {
+        let p = &self.profile;
+        self.cycle += 1;
+        self.in_burst_window += 1;
+        if self.in_burst_window == p.burst_period {
+            self.in_burst_window = 0;
+        }
+        self.in_period += 1;
+        if self.in_period == p.schedule.period_cycles() {
+            // A schedule period is one macro epoch.
+            self.in_period = 0;
+            self.in_slot = 0;
+            self.slot = 0;
+            self.active_segment = (self.active_segment + 1) % p.segments;
+        } else {
+            self.in_slot += 1;
+            if self.in_slot == p.schedule.slots()[0].cycles as u64 {
+                self.in_slot = 0;
+                self.slot += 1;
+            }
+        }
     }
 }
 
@@ -301,21 +351,22 @@ impl Iterator for TraceGen {
 
     fn next(&mut self) -> Option<Access> {
         let p = &self.profile;
-        let slot = p.schedule.slot_at(self.cycle);
-        let bank = self.rng.pick_weighted(&slot.weights);
+        // `SlotSchedule::slot_at`'s clamp to the last slot.
+        let slot = self.slot.min(self.slot_totals.len() - 1);
+        let bank = self
+            .rng
+            .pick_weighted_total(&p.schedule.slots()[slot].weights, self.slot_totals[slot]);
 
         // Macro phase: which segment does this access target? Lingering
         // traffic to the inactive segment comes in *bursts* (real programs
         // touch cold data in clusters — a stack spill, a table refresh),
         // which preserves long idle gaps on the inactive segment's banks.
-        let epoch = self.cycle / self.epoch_cycles;
-        let active_segment = (epoch % p.segments as u64) as u32;
-        let in_burst = self.cycle % p.burst_period < p.burst_len;
-        let burst_prob = (p.leak_through * p.burst_period as f64 / p.burst_len as f64).min(1.0);
+        let active_segment = self.active_segment;
+        let in_burst = self.in_burst_window < p.burst_len;
         let segment = if bank == p.resident_bank {
             // Resident data (stack/globals) lives in segment 0 for good.
             0
-        } else if p.segments > 1 && in_burst && self.rng.next_bool(burst_prob) {
+        } else if p.segments > 1 && in_burst && self.rng.next_bool(self.burst_prob) {
             let other = self.rng.next_below(p.segments as u64 - 1) as u32;
             (active_segment + 1 + other) % p.segments
         } else {
@@ -336,7 +387,7 @@ impl Iterator for TraceGen {
         } else {
             AccessKind::Read
         };
-        self.cycle += 1;
+        self.tick();
         Some(Access { addr, kind })
     }
 }

@@ -74,8 +74,14 @@ impl SplitMix64 {
     /// Picks an index from a slice of non-negative weights. Returns the
     /// last index if the weights sum to zero.
     pub fn pick_weighted(&mut self, weights: &[f64]) -> usize {
+        self.pick_weighted_total(weights, weights.iter().sum())
+    }
+
+    /// [`SplitMix64::pick_weighted`] with the weights' sum supplied by
+    /// the caller (who must compute it as `weights.iter().sum()`), for
+    /// callers that draw from the same weights many times.
+    pub fn pick_weighted_total(&mut self, weights: &[f64], total: f64) -> usize {
         debug_assert!(!weights.is_empty());
-        let total: f64 = weights.iter().sum();
         if total <= 0.0 {
             return weights.len() - 1;
         }

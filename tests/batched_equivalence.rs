@@ -3,12 +3,16 @@
 //! study pipeline stream batches without changing a single published
 //! number.
 
-use nbti_cache_repro::arch::arch::{PartitionedCache, UpdateSchedule};
+use nbti_cache_repro::arch::arch::{
+    simulate_fanout, FanOutcome, PartitionedCache, SimTarget, UpdateSchedule,
+};
 use nbti_cache_repro::arch::PolicyRegistry;
+use nbti_cache_repro::sim::Access;
 use nbti_cache_repro::sim::{
     CacheGeometry, CacheHierarchy, IdentityMapping, SimConfig, SimOutcome, Simulator,
 };
 use nbti_cache_repro::traces::formats::{write_csv, write_din, write_lackey, TraceFormat};
+use nbti_cache_repro::traces::source::{SliceSource, TraceError, TraceSource};
 use nbti_cache_repro::traces::suite;
 
 const CYCLES: usize = 30_000;
@@ -171,5 +175,90 @@ fn file_backed_sources_match_the_in_memory_stream() {
             .simulate_source(source.as_mut(), None, UpdateSchedule::Never)
             .unwrap();
         assert_identical(&reference, &from_file, format.key());
+    }
+}
+
+/// A source that hands out at most `chunk` accesses per pull, so the
+/// driver sees batches of odd, schedule-unaligned sizes.
+struct Chunked<'a> {
+    inner: SliceSource<'a>,
+    chunk: usize,
+}
+
+impl TraceSource for Chunked<'_> {
+    fn next_batch(&mut self, buf: &mut Vec<Access>, max: usize) -> Result<usize, TraceError> {
+        self.inner.next_batch(buf, max.min(self.chunk))
+    }
+}
+
+#[test]
+fn fanout_equals_separate_single_target_runs() {
+    // One pass over the trace feeding N targets — direct-mapped and
+    // 4-way levels, a non-identity policy and an L1+L2 hierarchy — must
+    // give each target the same bits as its own single-target run, for
+    // odd batch sizes and with mid-trace updates clipping the batches.
+    let profile = suite::by_name("dijkstra").unwrap();
+    let accesses: Vec<_> = profile.trace(21).take(CYCLES).collect();
+    let level = |size: u64, ways: u32, policy: &str| {
+        PartitionedCache::new_named(
+            CacheGeometry::new(size, 16, ways, 4).unwrap(),
+            policy,
+            PolicyRegistry::builtin(),
+        )
+        .unwrap()
+    };
+    let dm8 = level(8 * 1024, 1, "identity");
+    let dm16 = level(16 * 1024, 1, "probing");
+    let way4 = level(32 * 1024, 4, "identity");
+    let l2 = level(64 * 1024, 4, "identity");
+    let targets = [
+        SimTarget { l1: &dm8, l2: None },
+        SimTarget {
+            l1: &dm16,
+            l2: None,
+        },
+        SimTarget {
+            l1: &dm16,
+            l2: Some(&l2),
+        },
+        SimTarget {
+            l1: &way4,
+            l2: None,
+        },
+    ];
+    for (chunk, update) in [
+        (1usize, UpdateSchedule::Never),
+        (7, UpdateSchedule::Never),
+        (997, UpdateSchedule::EveryCycles(7_000)),
+        (usize::MAX, UpdateSchedule::EveryCycles(4096)),
+    ] {
+        let source = || Chunked {
+            inner: SliceSource::new(&accesses),
+            chunk,
+        };
+        let fanned = simulate_fanout(&targets, &mut source(), None, update).unwrap();
+        assert_eq!(fanned.len(), targets.len());
+        for (target, out) in targets.iter().zip(&fanned) {
+            out.validate().unwrap();
+            let context = format!("{:?}/chunk={chunk}/{update:?}", target.l1.geometry());
+            match (target.l2, out) {
+                (None, FanOutcome::Level(out)) => {
+                    let alone = target
+                        .l1
+                        .simulate_source(&mut source(), None, update)
+                        .unwrap();
+                    assert_identical(&alone, out, &context);
+                }
+                (Some(l2), FanOutcome::Hierarchy(out)) => {
+                    let alone = target
+                        .l1
+                        .simulate_hierarchy_source(l2, &mut source(), None, update)
+                        .unwrap();
+                    assert_identical(&alone.l1, &out.l1, &format!("L1/{context}"));
+                    assert_identical(&alone.l2, &out.l2, &format!("L2/{context}"));
+                }
+                _ => panic!("{context}: outcome kind does not match the target"),
+            }
+        }
     }
 }
