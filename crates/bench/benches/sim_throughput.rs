@@ -4,7 +4,7 @@
 //! speedup of the batched hot loop over the per-access baseline.
 
 use aging_cache::arch::{PartitionedCache, UpdateSchedule};
-use aging_cache::policy::PolicyKind;
+use aging_cache::registry::PolicyRegistry;
 use cache_sim::{Access, CacheGeometry};
 use repro_bench::harness::Harness;
 use std::time::{Duration, Instant};
@@ -17,7 +17,8 @@ fn bench_banks() {
     let mut g = Harness::new("sim_throughput/banks");
     for banks in [2u32, 4, 8, 16] {
         let geom = CacheGeometry::direct_mapped(16 * 1024, 16, banks).expect("geometry");
-        let arch = PartitionedCache::new(geom, PolicyKind::Identity).expect("arch");
+        let arch = PartitionedCache::new_named(geom, "identity", PolicyRegistry::global().clone())
+            .expect("arch");
         g.bench_throughput(&banks.to_string(), CYCLES as u64, || {
             arch.simulate(profile.trace(1).take(CYCLES), UpdateSchedule::Never)
                 .expect("simulation")
@@ -30,7 +31,8 @@ fn bench_sizes() {
     let mut g = Harness::new("sim_throughput/cache_kb");
     for kb in [8u64, 16, 32] {
         let geom = CacheGeometry::direct_mapped(kb * 1024, 16, 4).expect("geometry");
-        let arch = PartitionedCache::new(geom, PolicyKind::Identity).expect("arch");
+        let arch = PartitionedCache::new_named(geom, "identity", PolicyRegistry::global().clone())
+            .expect("arch");
         g.bench_throughput(&kb.to_string(), CYCLES as u64, || {
             arch.simulate(profile.trace(1).take(CYCLES), UpdateSchedule::Never)
                 .expect("simulation")
@@ -46,7 +48,8 @@ fn bench_update_schedules() {
         ("never", UpdateSchedule::Never),
         ("every_10k", UpdateSchedule::EveryCycles(10_000)),
     ] {
-        let arch = PartitionedCache::new(geom, PolicyKind::Probing).expect("arch");
+        let arch = PartitionedCache::new_named(geom, "probing", PolicyRegistry::global().clone())
+            .expect("arch");
         g.bench_throughput(label, CYCLES as u64, || {
             arch.simulate(profile.trace(1).take(CYCLES), schedule)
                 .expect("simulation")
@@ -64,7 +67,8 @@ fn bench_batched_vs_per_access() {
     let mut g = Harness::new("sim_throughput/batched");
     for banks in [4u32, 8, 16] {
         let geom = CacheGeometry::direct_mapped(16 * 1024, 16, banks).expect("geometry");
-        let arch = PartitionedCache::new(geom, PolicyKind::Identity).expect("arch");
+        let arch = PartitionedCache::new_named(geom, "identity", PolicyRegistry::global().clone())
+            .expect("arch");
         g.bench_throughput(&format!("per_access/M{banks}"), CYCLES as u64, || {
             arch.simulate(trace.iter().copied(), UpdateSchedule::Never)
                 .expect("simulation")
@@ -78,7 +82,8 @@ fn bench_batched_vs_per_access() {
     // Explicit wall-clock comparison at the reference geometry, long
     // enough to swamp timer noise.
     let geom = CacheGeometry::direct_mapped(16 * 1024, 16, 4).expect("geometry");
-    let arch = PartitionedCache::new(geom, PolicyKind::Identity).expect("arch");
+    let arch = PartitionedCache::new_named(geom, "identity", PolicyRegistry::global().clone())
+        .expect("arch");
     let time = |f: &dyn Fn()| {
         f(); // warm-up
         let mut best = Duration::MAX;

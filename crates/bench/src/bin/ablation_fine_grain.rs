@@ -7,16 +7,18 @@
 //! This binary prints both lifetimes per benchmark — the "price of
 //! standard blocks".
 
+use aging_cache::aging::AgingAnalysis;
 use aging_cache::arch::{PartitionedCache, UpdateSchedule};
 use aging_cache::fine_grain::FineGrainStudy;
-use aging_cache::policy::PolicyKind;
+use aging_cache::registry::PolicyRegistry;
 use aging_cache::report::{years, Table};
-use repro_bench::{context, default_config};
+use nbti_model::calibration;
+use repro_bench::default_config;
 use trace_synth::suite;
 
 fn main() {
     let cfg = default_config();
-    let ctx = context();
+    let aging = AgingAnalysis::new(calibration::reference_45nm().clone());
     let geom = cfg.geometry().expect("geometry");
     let study = FineGrainStudy::new(geom).expect("study");
 
@@ -33,22 +35,22 @@ fn main() {
     );
     for (i, p) in suite::mediabench().iter().enumerate() {
         let seed = cfg.seed + i as u64;
-        let arch = PartitionedCache::new(geom, PolicyKind::Identity).expect("arch");
+        let arch = PartitionedCache::new_named(geom, "identity", PolicyRegistry::global().clone())
+            .expect("arch");
         let out = arch
             .simulate(
                 p.trace(seed).take(cfg.trace_cycles as usize),
                 UpdateSchedule::Never,
             )
             .expect("simulation");
-        let bank_lt = ctx
-            .aging
-            .cache_lifetime(&out.sleep_fraction_all(), p.p0(), PolicyKind::Probing)
+        let bank_lt = aging
+            .cache_lifetime_named(&out.sleep_fraction_all(), p.p0(), "probing", 1)
             .expect("bank lifetime");
         let fine = study
             .measure(p, cfg.trace_cycles, seed)
             .expect("fine-grain measurement");
         let line_lt = study
-            .ideal_lifetime(&ctx.aging, &fine, p.p0())
+            .ideal_lifetime(&aging, &fine, p.p0())
             .expect("ideal lifetime");
         t.push_row(vec![
             p.name().to_string(),

@@ -4,14 +4,13 @@
 //! this study skews the stored-value distribution and shows value
 //! balancing and idleness balancing attack independent aging factors.
 
+use aging_cache::aging::AgingAnalysis;
 use aging_cache::flip::CellFlip;
-use aging_cache::policy::PolicyKind;
 use aging_cache::report::{years, Table};
-use repro_bench::context;
+use nbti_model::calibration;
 
 fn main() {
-    let ctx = context();
-    let aging = &ctx.aging;
+    let aging = AgingAnalysis::new(calibration::reference_45nm().clone());
     let sleep = [0.9, 0.6, 0.3, 0.0]; // a representative uneven profile
     let flip = CellFlip::ideal();
 
@@ -26,18 +25,15 @@ fn main() {
         ],
     );
     for p0 in [0.5, 0.7, 0.9, 1.0] {
-        let neither = aging
-            .cache_lifetime(&sleep, p0, PolicyKind::Identity)
-            .expect("lifetime");
-        let flip_only = flip
-            .cache_lifetime(aging, &sleep, p0, PolicyKind::Identity)
-            .expect("lifetime");
-        let reindex_only = aging
-            .cache_lifetime(&sleep, p0, PolicyKind::Probing)
-            .expect("lifetime");
-        let both = flip
-            .cache_lifetime(aging, &sleep, p0, PolicyKind::Probing)
-            .expect("lifetime");
+        let lifetime = |p0: f64, policy: &str| {
+            aging
+                .cache_lifetime_named(&sleep, p0, policy, 1)
+                .expect("lifetime")
+        };
+        let neither = lifetime(p0, "identity");
+        let flip_only = lifetime(flip.effective_p0(p0), "identity");
+        let reindex_only = lifetime(p0, "probing");
+        let both = lifetime(flip.effective_p0(p0), "probing");
         t.push_row(vec![
             format!("{p0:.1}"),
             years(neither),

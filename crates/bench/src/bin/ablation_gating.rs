@@ -9,16 +9,15 @@
 
 use aging_cache::aging::AgingAnalysis;
 use aging_cache::arch::{PartitionedCache, UpdateSchedule};
-use aging_cache::policy::PolicyKind;
+use aging_cache::registry::PolicyRegistry;
 use aging_cache::report::{years, Table};
-use nbti_model::SleepMode;
-use repro_bench::{context, default_config};
+use nbti_model::{calibration, SleepMode};
+use repro_bench::default_config;
 use trace_synth::suite;
 
 fn main() {
     let cfg = default_config();
-    let ctx = context();
-    let vs = ctx.aging.clone();
+    let vs = AgingAnalysis::new(calibration::reference_45nm().clone());
     let pg = AgingAnalysis::new(vs.solver().clone()).with_mode(SleepMode::power_gated());
 
     let mut t = Table::new(
@@ -32,7 +31,8 @@ fn main() {
     );
     for (i, p) in suite::mediabench().iter().enumerate() {
         let geom = cfg.geometry().expect("valid geometry");
-        let arch = PartitionedCache::new(geom, PolicyKind::Identity).expect("valid arch");
+        let arch = PartitionedCache::new_named(geom, "identity", PolicyRegistry::global().clone())
+            .expect("valid arch");
         let out = arch
             .simulate(
                 p.trace(cfg.seed + i as u64).take(cfg.trace_cycles as usize),
@@ -41,10 +41,10 @@ fn main() {
             .expect("simulation");
         let sleep = out.sleep_fraction_all();
         let lt_vs = vs
-            .cache_lifetime(&sleep, p.p0(), PolicyKind::Probing)
+            .cache_lifetime_named(&sleep, p.p0(), "probing", 1)
             .expect("drowsy lifetime");
         let lt_pg = pg
-            .cache_lifetime(&sleep, p.p0(), PolicyKind::Probing)
+            .cache_lifetime_named(&sleep, p.p0(), "probing", 1)
             .expect("gated lifetime");
         t.push_row(vec![
             p.name().to_string(),

@@ -10,10 +10,12 @@
 
 use aging_cache::aging::AgingAnalysis;
 use aging_cache::arch::{PartitionedCache, UpdateSchedule};
-use aging_cache::policy::{PolicyKind, Scrambling};
+use aging_cache::policy::Scrambling;
+use aging_cache::registry::PolicyRegistry;
 use aging_cache::report::{years, Table};
 use cache_sim::BankMapping;
-use repro_bench::{context, default_config};
+use nbti_model::calibration;
+use repro_bench::default_config;
 use trace_synth::suite;
 
 fn lifetime_with(
@@ -29,7 +31,7 @@ fn lifetime_with(
 
 fn main() {
     let cfg = default_config();
-    let ctx = context();
+    let aging = AgingAnalysis::new(calibration::reference_45nm().clone());
     let p_bits = cfg.banks.trailing_zeros();
 
     let mut t = Table::new(
@@ -44,7 +46,8 @@ fn main() {
     );
     for (i, p) in suite::mediabench().iter().enumerate() {
         let geom = cfg.geometry().expect("valid geometry");
-        let arch = PartitionedCache::new(geom, PolicyKind::Identity).expect("valid arch");
+        let arch = PartitionedCache::new_named(geom, "identity", PolicyRegistry::global().clone())
+            .expect("valid arch");
         let out = arch
             .simulate(
                 p.trace(cfg.seed + i as u64).take(cfg.trace_cycles as usize),
@@ -52,18 +55,17 @@ fn main() {
             )
             .expect("simulation");
         let sleep = out.sleep_fraction_all();
-        let probing = ctx
-            .aging
-            .cache_lifetime(&sleep, p.p0(), PolicyKind::Probing)
+        let probing = aging
+            .cache_lifetime_named(&sleep, p.p0(), "probing", 1)
             .expect("lifetime");
         let narrow = lifetime_with(
-            &ctx.aging,
+            &aging,
             &sleep,
             p.p0(),
             Box::new(Scrambling::with_lfsr_width(cfg.banks, p_bits, 1).expect("narrow")),
         );
         let wide = lifetime_with(
-            &ctx.aging,
+            &aging,
             &sleep,
             p.p0(),
             Box::new(Scrambling::new(cfg.banks, 1).expect("wide")),

@@ -7,14 +7,13 @@
 //! update periods to show how far the claim stretches.
 
 use aging_cache::arch::{PartitionedCache, UpdateSchedule};
-use aging_cache::policy::PolicyKind;
+use aging_cache::registry::PolicyRegistry;
 use aging_cache::report::Table;
-use repro_bench::{context, default_config};
+use repro_bench::default_config;
 use trace_synth::suite;
 
 fn main() {
     let cfg = default_config();
-    let _ctx = context();
     let geom = cfg.geometry().expect("geometry");
 
     let mut t = Table::new(
@@ -27,8 +26,11 @@ fn main() {
         ],
     );
     let profile = suite::by_name("ispell").expect("in suite");
-    let baseline = PartitionedCache::new(geom, PolicyKind::Probing)
-        .expect("arch")
+    let probing = || {
+        PartitionedCache::new_named(geom, "probing", PolicyRegistry::global().clone())
+            .expect("arch")
+    };
+    let baseline = probing()
         .simulate(
             profile.trace(cfg.seed).take(cfg.trace_cycles as usize),
             UpdateSchedule::Never,
@@ -41,8 +43,7 @@ fn main() {
         "-".into(),
     ]);
     for period in [320_000u64, 80_000, 20_000, 5_000] {
-        let out = PartitionedCache::new(geom, PolicyKind::Probing)
-            .expect("arch")
+        let out = probing()
             .simulate(
                 profile.trace(cfg.seed).take(cfg.trace_cycles as usize),
                 UpdateSchedule::EveryCycles(period),

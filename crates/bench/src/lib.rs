@@ -30,8 +30,7 @@
 
 pub mod harness;
 
-use aging_cache::experiment::{ExperimentConfig, ExperimentContext};
-use aging_cache::model::ModelContext;
+use aging_cache::experiment::ExperimentConfig;
 use aging_cache::render::{self, Format};
 use aging_cache::report::Table;
 use aging_cache::session::StudySession;
@@ -43,18 +42,6 @@ use aging_cache::CoreError;
 /// for sub-percent idleness stability.
 pub fn default_config() -> ExperimentConfig {
     ExperimentConfig::paper_reference().with_trace_cycles(640_000)
-}
-
-/// Builds the shared calibrated context, panicking with a readable
-/// message on failure (harness binaries have no recovery path).
-pub fn context() -> ExperimentContext {
-    ExperimentContext::new().expect("NBTI calibration failed")
-}
-
-/// Builds the model-axis run context (models calibrate lazily, once
-/// per distinct key).
-pub fn model_context() -> ModelContext {
-    ModelContext::new()
 }
 
 /// Builds a fresh [`StudySession`] — the execution-layer front door

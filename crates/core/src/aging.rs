@@ -195,22 +195,6 @@ impl AgingAnalysis {
         Ok(self.solver.lifetime_years(&profile)?)
     }
 
-    /// Cache lifetime under a policy kind (fresh policy instance, the
-    /// historic seed of 1).
-    ///
-    /// # Errors
-    ///
-    /// Propagates model errors; returns
-    /// [`CoreError::HorizonExceeded`] if no bank fails within the horizon.
-    pub fn cache_lifetime(
-        &self,
-        sleep_fractions: &[f64],
-        p0: f64,
-        policy: crate::policy::PolicyKind,
-    ) -> Result<f64, CoreError> {
-        self.cache_lifetime_named(sleep_fractions, p0, policy.key(), 1)
-    }
-
     /// Cache lifetime under a policy resolved by registry name, from a
     /// full `u64` seed (see [`crate::registry`] for the derivation).
     ///
@@ -310,7 +294,6 @@ impl AgingAnalysis {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::policy::PolicyKind;
     use nbti_model::CellDesign;
 
     fn aging() -> AgingAnalysis {
@@ -405,14 +388,14 @@ mod tests {
         let a = aging()
             .with_mode(SleepMode::power_gated())
             .with_horizon_years(50.0);
-        let r = a.cache_lifetime(&[1.0, 1.0, 1.0, 1.0], 0.5, PolicyKind::Identity);
+        let r = a.cache_lifetime_named(&[1.0, 1.0, 1.0, 1.0], 0.5, "identity", 1);
         assert!(matches!(r, Err(CoreError::HorizonExceeded { .. })));
     }
 
     #[test]
     fn empty_bank_list_is_rejected() {
         let a = aging();
-        assert!(a.cache_lifetime(&[], 0.5, PolicyKind::Identity).is_err());
+        assert!(a.cache_lifetime_named(&[], 0.5, "identity", 1).is_err());
     }
 
     #[test]

@@ -2,10 +2,8 @@
 //! runner, selected through [`ExecOptions`], with streaming progress
 //! via [`ExecObserver`].
 //!
-//! Before this layer existed, [`ScenarioGrid::run`] was a closed
-//! one-shot loop: it spawned its own scoped threads, funnelled every
-//! result through one mutex, and its simulation memo died with the
-//! call. The execution layer splits that loop into replaceable parts:
+//! [`StudySession`](crate::session::StudySession) runs every grid
+//! through this layer, which splits the run into replaceable parts:
 //!
 //! * an [`Executor`] decides *where* tasks run — in the calling
 //!   thread ([`SequentialExecutor`]), across a self-scheduling worker
@@ -28,8 +26,6 @@
 //! cache-warm runs emit byte-identical reports (pinned by
 //! `tests/exec_cache.rs` — including runs where a worker process is
 //! killed mid-sweep, see `tests/worker_crash.rs`).
-//!
-//! [`ScenarioGrid::run`]: crate::study::ScenarioGrid::run
 
 use crate::session::SessionStats;
 use crate::study::{ScenarioRecord, StudyReport};
@@ -264,9 +260,8 @@ pub enum ExecBackend {
 /// Declarative executor selection for a
 /// [`StudySession`](crate::session::StudySession).
 ///
-/// The default is the threaded backend at available parallelism —
-/// exactly what [`ScenarioGrid::run`](crate::study::ScenarioGrid::run)
-/// always did. A [`StudySpec::threads`](crate::study::StudySpec::threads)
+/// The default is the threaded backend at available parallelism. A
+/// [`StudySpec::threads`](crate::study::StudySpec::threads)
 /// cap on the spec overrides the option's cap for that grid.
 #[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct ExecOptions {

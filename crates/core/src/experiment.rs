@@ -1,26 +1,46 @@
-//! Experiment configuration and the paper-table entry points.
+//! The experiment configuration, the per-benchmark record and
+//! the two paper computations that are not scenario grids.
 //!
-//! Since the Study API redesign this module is a thin compatibility
-//! layer: the measurement engine is [`crate::study`] (declarative
-//! [`crate::study::StudySpec`] grids run in parallel), the
-//! paper's tables are presets over it ([`crate::presets`]) and the
-//! rendering is a set of pure views ([`crate::views`]). The `tableN`
-//! functions here wire those three together so historic callers — and
-//! the published measured values — are unchanged.
+//! The measurement engine is [`crate::study`] (declarative
+//! [`StudySpec`] grids) run through
+//! [`StudySession`](crate::session::StudySession); the paper's tables
+//! are presets over it ([`crate::presets`]) and the rendering is a set
+//! of pure views ([`crate::views`]). This module keeps what those
+//! layers build on:
+//!
+//! * [`ExperimentConfig`], the cache configuration every preset starts
+//!   from ([`ExperimentConfig::study`]);
+//! * [`BenchResult`], the per-benchmark record shape Table II's
+//!   dataset view returns;
+//! * [`claims_from`], the §IV-B1 headline arithmetic over that dataset;
+//! * [`rng_error`], the §IV-B2 RNG repetition study, which simulates no
+//!   cache at all.
+//!
+//! # Examples
+//!
+//! Table II through the session front door:
+//!
+//! ```no_run
+//! use aging_cache::experiment::{claims_from, ExperimentConfig};
+//! use aging_cache::session::StudySession;
+//! use aging_cache::{presets, views};
+//!
+//! # fn main() -> Result<(), aging_cache::CoreError> {
+//! let report = StudySession::new().run(&presets::table2(&ExperimentConfig::paper_reference()))?;
+//! println!("{}", views::table2(&report)?);
+//! let claims = claims_from(&views::table2_dataset(&report)?);
+//! println!("LT extension at 16 kB: {:.1} %", 100.0 * claims.extension_per_size[1]);
+//! # Ok(())
+//! # }
+//! ```
 
-use crate::aging::AgingAnalysis;
 use crate::error::CoreError;
 use crate::lfsr::Lfsr;
-use crate::model::ModelContext;
 use crate::paper;
-use crate::presets;
 use crate::report::Table;
 use crate::study::{ScenarioRecord, StudySpec};
-use crate::views;
 use cache_sim::CacheGeometry;
-use nbti_model::{calibration, CellDesign, LifetimeSolver};
 use trace_synth::rng::SplitMix64;
-use trace_synth::WorkloadProfile;
 
 /// A cache configuration plus simulation horizon for one experiment.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -90,15 +110,6 @@ impl ExperimentConfig {
         )?)
     }
 
-    /// Builds the shared experiment context (calibrated aging model).
-    ///
-    /// # Errors
-    ///
-    /// Propagates NBTI-model calibration errors.
-    pub fn build_context(&self) -> Result<ExperimentContext, CoreError> {
-        ExperimentContext::new()
-    }
-
     /// A [`StudySpec`] at exactly this configuration: single point on
     /// every geometry axis, the full suite on the workload axis, the
     /// historic seeds. The starting point of every preset.
@@ -110,66 +121,6 @@ impl ExperimentConfig {
             .trace_cycles(self.trace_cycles)
             .base_seed(self.seed)
             .policy_seed(1)
-    }
-}
-
-/// **Deprecated shim** over [`ModelContext`]: the historic "calibrated
-/// context" of the pre-model-axis API.
-///
-/// Since the device axis opened, the run context of the Study API is a
-/// [`ModelContext`] — a model registry plus the per-model calibration
-/// cache. This type survives so historic callers (and the `tableN`
-/// entry points below) keep compiling: it carries a `ModelContext` and
-/// passes anywhere one is accepted (`StudySpec::run`,
-/// `ScenarioGrid::run` take `impl AsRef<ModelContext>`). New code
-/// should construct [`ModelContext::new`] directly.
-#[derive(Debug, Clone)]
-pub struct ExperimentContext {
-    /// The rotation-aware aging analysis, calibrated to the paper's
-    /// 2.93-year cell — the historic public field, still served for
-    /// *direct* physics queries.
-    ///
-    /// Since the model axis opened, studies no longer read this field:
-    /// `StudySpec::run` evaluates through the wrapped [`ModelContext`]
-    /// and each scenario's model key. Mutating `aging` therefore only
-    /// affects callers that query it directly; to change what a study
-    /// computes, put the operating point on the model axis
-    /// (`StudySpec::models`, `nbti:temp=…` keys) or register a custom
-    /// [`AgingModel`](crate::model::AgingModel).
-    pub aging: AgingAnalysis,
-    models: ModelContext,
-}
-
-impl ExperimentContext {
-    /// Calibrates the aging model to the paper's anchor.
-    ///
-    /// # Errors
-    ///
-    /// Propagates NBTI-model calibration errors.
-    pub fn new() -> Result<Self, CoreError> {
-        // The process-wide calibration cache holds exactly this solve
-        // (field-for-field identical); only re-solve if the two anchor
-        // constants ever diverge.
-        let solver = if paper::CELL_LIFETIME_YEARS == calibration::REFERENCE_LIFETIME_YEARS {
-            calibration::reference_45nm().clone()
-        } else {
-            LifetimeSolver::calibrated(CellDesign::default_45nm(), paper::CELL_LIFETIME_YEARS)?
-        };
-        Ok(Self {
-            aging: AgingAnalysis::new(solver),
-            models: ModelContext::new(),
-        })
-    }
-
-    /// The model context this shim wraps.
-    pub fn models(&self) -> &ModelContext {
-        &self.models
-    }
-}
-
-impl AsRef<ModelContext> for ExperimentContext {
-    fn as_ref(&self) -> &ModelContext {
-        &self.models
     }
 }
 
@@ -215,145 +166,9 @@ impl From<&ScenarioRecord> for BenchResult {
     }
 }
 
-/// Runs one benchmark at one configuration: simulate (identity mapping,
-/// no mid-trace updates), then evaluate LT0 and LT from the measured
-/// sleep fractions.
-///
-/// # Errors
-///
-/// Propagates simulator and aging-model errors.
-pub fn run_benchmark(
-    profile: &WorkloadProfile,
-    cfg: &ExperimentConfig,
-    ctx: &ExperimentContext,
-) -> Result<BenchResult, CoreError> {
-    let report = cfg
-        .study(format!("bench:{}", profile.name()))
-        .workloads([profile.clone()])
-        .policies(["probing"])
-        .threads(1)
-        .run(ctx)?;
-    Ok(BenchResult::from(&report.records()[0]))
-}
-
-/// Runs the whole 18-benchmark suite at one configuration (in parallel
-/// across scenarios).
-///
-/// # Errors
-///
-/// Propagates per-benchmark errors.
-pub fn run_suite(
-    cfg: &ExperimentConfig,
-    ctx: &ExperimentContext,
-) -> Result<Vec<BenchResult>, CoreError> {
-    let report = cfg.study("suite").policies(["probing"]).run(ctx)?;
-    Ok(report.records().iter().map(BenchResult::from).collect())
-}
-
 fn mean<'a>(values: impl Iterator<Item = &'a f64>) -> f64 {
     let v: Vec<f64> = values.copied().collect();
     v.iter().sum::<f64>() / v.len() as f64
-}
-
-/// **Table I**: distribution of useful idleness in a 4-bank 16 kB cache,
-/// measured next to the paper's published row.
-///
-/// # Errors
-///
-/// Propagates simulation errors.
-pub fn table1(cfg: &ExperimentConfig, ctx: &ExperimentContext) -> Result<Table, CoreError> {
-    views::table1(&presets::table1(cfg).run(ctx)?)
-}
-
-/// Raw data for Table II: suite results at 8, 16 and 32 kB.
-///
-/// # Errors
-///
-/// Propagates per-benchmark errors.
-pub fn table2_data(
-    base: &ExperimentConfig,
-    ctx: &ExperimentContext,
-) -> Result<Vec<(u64, Vec<BenchResult>)>, CoreError> {
-    views::table2_dataset(&presets::table2(base).run(ctx)?)
-}
-
-/// **Table II**: energy savings and lifetime when varying cache size
-/// (16 B lines, M = 4).
-///
-/// # Errors
-///
-/// Propagates simulation errors.
-pub fn table2(base: &ExperimentConfig, ctx: &ExperimentContext) -> Result<Table, CoreError> {
-    views::table2(&presets::table2(base).run(ctx)?)
-}
-
-/// Raw data for Table III: suite results at 16 B and 32 B lines (16 kB).
-///
-/// # Errors
-///
-/// Propagates per-benchmark errors.
-pub fn table3_data(
-    base: &ExperimentConfig,
-    ctx: &ExperimentContext,
-) -> Result<Vec<(u32, Vec<BenchResult>)>, CoreError> {
-    let report = presets::table3(base).run(ctx)?;
-    Ok([16u32, 32]
-        .iter()
-        .map(|&ls| {
-            (
-                ls,
-                report
-                    .select(|r| r.scenario.line_bytes == ls)
-                    .map(BenchResult::from)
-                    .collect(),
-            )
-        })
-        .collect())
-}
-
-/// **Table III**: energy savings and lifetime when varying line size
-/// (16 kB cache, M = 4).
-///
-/// # Errors
-///
-/// Propagates simulation errors.
-pub fn table3(base: &ExperimentConfig, ctx: &ExperimentContext) -> Result<Table, CoreError> {
-    views::table3(&presets::table3(base).run(ctx)?)
-}
-
-/// Raw data for Table IV: `(size_kb, banks, avg idleness, avg LT)`.
-///
-/// # Errors
-///
-/// Propagates per-benchmark errors.
-pub fn table4_data(
-    base: &ExperimentConfig,
-    ctx: &ExperimentContext,
-) -> Result<Vec<(u64, u32, f64, f64)>, CoreError> {
-    let report = presets::table4(base).run(ctx)?;
-    let mut rows = Vec::new();
-    for kb in [8u64, 16, 32] {
-        for banks in [2u32, 4, 8] {
-            let cell: Vec<&ScenarioRecord> = report
-                .select(|r| r.scenario.cache_bytes == kb * 1024 && r.scenario.banks == banks)
-                .collect();
-            let idle =
-                cell.iter().map(|r| r.avg_useful_idleness()).sum::<f64>() / cell.len() as f64;
-            let lt = cell.iter().map(|r| r.lt_years()).sum::<f64>() / cell.len() as f64;
-            rows.push((kb, banks, idle, lt));
-        }
-    }
-    Ok(rows)
-}
-
-/// **Table IV**: average idleness and lifetime when varying cache size
-/// and number of blocks.
-///
-/// # Errors
-///
-/// Propagates simulation errors.
-pub fn table4(base: &ExperimentConfig, ctx: &ExperimentContext) -> Result<Table, CoreError> {
-    views::table4(&presets::table4(base).run(ctx)?)
 }
 
 /// The headline quantities of §IV-B1, computed from measured data.
@@ -407,15 +222,6 @@ pub fn claims_from(data: &[(u64, Vec<BenchResult>)]) -> ClaimsSummary {
         best_case: best,
         worst_case: worst,
     }
-}
-
-/// Renders the headline-claims comparison (§I and §IV-B1 prose).
-///
-/// # Errors
-///
-/// Propagates simulation errors.
-pub fn claims(base: &ExperimentConfig, ctx: &ExperimentContext) -> Result<Table, CoreError> {
-    views::claims(&presets::claims(base).run(ctx)?)
 }
 
 /// §IV-B2: RNG repetition error vs number of updates, for the Scrambling
@@ -481,23 +287,11 @@ fn rel_error(counts: &[u64], n: u64) -> f64 {
     (ss / counts.len() as f64).sqrt() / ideal
 }
 
-/// §IV-B2's conclusion: Probing and Scrambling are "de facto identical".
-/// Per-benchmark LT under both policies.
-///
-/// # Errors
-///
-/// Propagates simulation errors.
-pub fn policy_equivalence(
-    cfg: &ExperimentConfig,
-    ctx: &ExperimentContext,
-) -> Result<Table, CoreError> {
-    views::policy_equivalence(&presets::policy_equivalence(cfg).run(ctx)?)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use trace_synth::suite;
+    use crate::session::StudySession;
+    use crate::{presets, views};
 
     fn quick_cfg() -> ExperimentConfig {
         // Shorter traces keep debug-mode tests fast; two full macro
@@ -508,9 +302,13 @@ mod tests {
     #[test]
     fn reference_benchmark_run_reproduces_sha_shape() {
         let cfg = quick_cfg();
-        let ctx = cfg.build_context().unwrap();
-        let sha = suite::by_name("sha").unwrap();
-        let r = run_benchmark(&sha, &cfg, &ctx).unwrap();
+        let spec = cfg
+            .study("bench:sha")
+            .workload_names(["sha"])
+            .unwrap()
+            .policies(["probing"]);
+        let report = StudySession::new().run(&spec).unwrap();
+        let r = BenchResult::from(&report.records()[0]);
         // sha: banks 1-2 nearly always idle, banks 0,3 busy.
         assert!(r.useful_idleness[1] > 0.9);
         assert!(r.useful_idleness[2] > 0.9);
@@ -522,8 +320,8 @@ mod tests {
     #[test]
     fn table1_structure() {
         let cfg = quick_cfg();
-        let ctx = cfg.build_context().unwrap();
-        let t = table1(&cfg, &ctx).unwrap();
+        let report = StudySession::new().run(&presets::table1(&cfg)).unwrap();
+        let t = views::table1(&report).unwrap();
         assert_eq!(t.rows().len(), 18);
         assert!(t.to_string().contains("adpcm.dec"));
         assert!(t.to_markdown().contains("| bench |"));

@@ -5,11 +5,11 @@
 //! storing a '0' toward 0.5, which equalizes the stress duty of the two
 //! cell pMOS devices — the *value-based* mitigation the paper contrasts
 //! with its idleness-based one. Both compose: flipping fixes `p0`,
-//! partitioning + re-indexing fixes the idleness distribution.
+//! partitioning + re-indexing fixes the idleness distribution: feed
+//! [`CellFlip::effective_p0`] to
+//! [`AgingAnalysis::cache_lifetime_named`](crate::aging::AgingAnalysis::cache_lifetime_named).
 
-use crate::aging::AgingAnalysis;
 use crate::error::CoreError;
-use crate::policy::PolicyKind;
 
 /// A word-level cell-flipping scheme.
 ///
@@ -80,28 +80,12 @@ impl CellFlip {
     pub fn storage_overhead(&self) -> f64 {
         1.0 / self.word_bits as f64
     }
-
-    /// Cache lifetime with flipping composed onto a partitioned cache:
-    /// the sleep distribution is handled by `policy`, the value balance
-    /// by this scheme.
-    ///
-    /// # Errors
-    ///
-    /// Propagates aging-model errors.
-    pub fn cache_lifetime(
-        &self,
-        aging: &AgingAnalysis,
-        sleep_fractions: &[f64],
-        raw_p0: f64,
-        policy: PolicyKind,
-    ) -> Result<f64, CoreError> {
-        aging.cache_lifetime(sleep_fractions, self.effective_p0(raw_p0), policy)
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::aging::AgingAnalysis;
     use nbti_model::{CellDesign, LifetimeSolver};
 
     fn aging() -> AgingAnalysis {
@@ -126,9 +110,9 @@ mod tests {
     fn flipping_helps_skewed_workloads() {
         let a = aging();
         let sleep = [0.4, 0.4, 0.4, 0.4];
-        let skewed = a.cache_lifetime(&sleep, 0.95, PolicyKind::Probing).unwrap();
-        let flipped = CellFlip::ideal()
-            .cache_lifetime(&a, &sleep, 0.95, PolicyKind::Probing)
+        let skewed = a.cache_lifetime_named(&sleep, 0.95, "probing", 1).unwrap();
+        let flipped = a
+            .cache_lifetime_named(&sleep, CellFlip::ideal().effective_p0(0.95), "probing", 1)
             .unwrap();
         assert!(
             flipped > skewed,
@@ -140,9 +124,9 @@ mod tests {
     fn flipping_is_neutral_for_balanced_workloads() {
         let a = aging();
         let sleep = [0.4, 0.4, 0.4, 0.4];
-        let plain = a.cache_lifetime(&sleep, 0.5, PolicyKind::Probing).unwrap();
-        let flipped = CellFlip::ideal()
-            .cache_lifetime(&a, &sleep, 0.5, PolicyKind::Probing)
+        let plain = a.cache_lifetime_named(&sleep, 0.5, "probing", 1).unwrap();
+        let flipped = a
+            .cache_lifetime_named(&sleep, CellFlip::ideal().effective_p0(0.5), "probing", 1)
             .unwrap();
         assert!((plain - flipped).abs() / plain < 1e-6);
     }
@@ -162,16 +146,21 @@ mod tests {
         let sleep = [0.9, 0.6, 0.3, 0.0];
         let raw_p0 = 0.9;
         let neither = a
-            .cache_lifetime(&sleep, raw_p0, PolicyKind::Identity)
+            .cache_lifetime_named(&sleep, raw_p0, "identity", 1)
             .unwrap();
-        let only_flip = CellFlip::ideal()
-            .cache_lifetime(&a, &sleep, raw_p0, PolicyKind::Identity)
+        let only_flip = a
+            .cache_lifetime_named(
+                &sleep,
+                CellFlip::ideal().effective_p0(raw_p0),
+                "identity",
+                1,
+            )
             .unwrap();
         let only_reindex = a
-            .cache_lifetime(&sleep, raw_p0, PolicyKind::Probing)
+            .cache_lifetime_named(&sleep, raw_p0, "probing", 1)
             .unwrap();
-        let both = CellFlip::ideal()
-            .cache_lifetime(&a, &sleep, raw_p0, PolicyKind::Probing)
+        let both = a
+            .cache_lifetime_named(&sleep, CellFlip::ideal().effective_p0(raw_p0), "probing", 1)
             .unwrap();
         assert!(only_flip > neither);
         assert!(only_reindex > neither);

@@ -9,9 +9,10 @@
 //!
 //! * [`onehot`] — the 1-hot encoder of decoder `D` (paper Fig. 1b);
 //! * [`lfsr`] — Galois LFSRs backing the Scrambling policy;
-//! * [`policy`] — the indexing functions: `Identity` (a conventional
-//!   power-managed partitioned cache), `Probing` (modular increment,
-//!   Fig. 3a) and `Scrambling` (LFSR XOR, Fig. 3b);
+//! * [`policy`] — the indexing functions: `Probing` (modular increment,
+//!   Fig. 3a), `Scrambling` (LFSR XOR, Fig. 3b) and two more bijections;
+//!   with `identity` (a conventional power-managed partitioned cache)
+//!   they are addressed by registry key;
 //! * [`decoder`] — decoder `D` with the dynamic-indexing stage (Fig. 2);
 //! * [`control`] / [`selector`] — Block Control counter sizing and the
 //!   per-bank supply-rail selector (Fig. 1);
@@ -34,12 +35,13 @@
 //!   and the [`model::ModelContext`] memoizes calibration once per
 //!   distinct model;
 //! * [`study`] — the Study API: declarative [`study::StudySpec`] grids
-//!   expanded into [`study::ScenarioGrid`]s, run across threads into
-//!   serializable [`study::StudyReport`]s;
+//!   expanded into [`study::ScenarioGrid`]s and serializable
+//!   [`study::StudyReport`]s;
 //! * [`exec`] / [`session`] / [`rescache`] — the open execution layer:
-//!   pluggable [`Executor`] backends and streaming [`ExecObserver`]
-//!   progress, driven through the [`session::StudySession`] front door
-//!   that owns a cross-run simulation memo and a content-addressed
+//!   the [`session::StudySession`] front door, the one way to run a
+//!   grid, over pluggable [`Executor`] backends with streaming
+//!   [`ExecObserver`] progress; it owns a cross-run simulation memo and
+//!   a content-addressed
 //!   [`rescache::ResultCache`] (in-memory or on-disk JSONL), making
 //!   repeated and interrupted studies incremental and resumable;
 //! * [`analysis`] / [`render`] — the open analysis layer over the
@@ -58,7 +60,7 @@
 //!   session so `study optimize` re-runs replay warm with zero
 //!   simulations;
 //! * [`presets`] / [`views`] / [`experiment`] / [`report`] — the
-//!   paper's tables as ~10-line presets over the grid runner, rendered
+//!   paper's tables as ~10-line presets run through the session, rendered
 //!   by pure views with the published values embedded for side-by-side
 //!   comparison ([`paper`]);
 //! * [`json`] — the dependency-free JSON codec behind report
@@ -70,21 +72,22 @@
 //! # Quick start
 //!
 //! Declare a study over any slice of the grid — axes accept one or many
-//! values, scenarios run in parallel, and the report serializes:
+//! values — and run it through a session: scenarios run in parallel and
+//! the report serializes:
 //!
 //! ```no_run
-//! use aging_cache::model::ModelContext;
+//! use aging_cache::session::StudySession;
 //! use aging_cache::study::StudySpec;
 //!
 //! # fn main() -> Result<(), aging_cache::CoreError> {
-//! let ctx = ModelContext::new(); // models calibrate lazily, once each
-//! let report = StudySpec::new("my sweep")
+//! let spec = StudySpec::new("my sweep")
 //!     .cache_kb([8, 16])
 //!     .banks([2, 4])
 //!     .policies(["probing", "scrambling", "gray"])
 //!     .workload_names(["sha", "CRC32", "dijkstra"])?
-//!     .models(["nbti-45nm", "nbti:temp=105", "variation:30"])
-//!     .run(&ctx)?;
+//!     .models(["nbti-45nm", "nbti:temp=105", "variation:30"]);
+//! // Models calibrate lazily, once each per session.
+//! let report = StudySession::new().run(&spec)?;
 //! for r in report.records() {
 //!     println!(
 //!         "{:>10} {:>10} {:>14} {:2} banks: Esav {:5.1}%  LT {:.2}y",
@@ -104,13 +107,13 @@
 //! The paper's tables are presets over the same engine:
 //!
 //! ```no_run
-//! use aging_cache::experiment::{ExperimentConfig, ExperimentContext};
+//! use aging_cache::experiment::ExperimentConfig;
+//! use aging_cache::session::StudySession;
 //! use aging_cache::{presets, views};
 //!
 //! # fn main() -> Result<(), aging_cache::CoreError> {
 //! let cfg = ExperimentConfig::paper_reference(); // 16 kB, 16 B, M=4
-//! let ctx = ExperimentContext::new()?;
-//! let report = presets::table2(&cfg).run(&ctx)?;
+//! let report = StudySession::new().run(&presets::table2(&cfg))?;
 //! println!("{}", views::table2(&report)?);
 //! # Ok(())
 //! # }
@@ -167,7 +170,7 @@ pub use model::{
     ModelRegistry,
 };
 pub use onehot::OneHotEncoder;
-pub use policy::{GrayRotation, PolicyKind, Probing, RotateXor, Scrambling};
+pub use policy::{GrayRotation, Probing, RotateXor, Scrambling};
 pub use registry::{IndexingPolicy, PolicyRegistry};
 pub use render::Format;
 pub use rescache::{

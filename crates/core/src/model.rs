@@ -66,7 +66,7 @@ use cache_sim::{BankMapping, IdentityMapping};
 use nbti_model::{calibration, DrvAnalysis, LifetimeSolver, SleepMode, VariationModel};
 use std::collections::{BTreeMap, HashMap};
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 
 /// Metric name: lifetime under the identity policy (no re-indexing),
 /// years — the paper's `LT0`.
@@ -437,7 +437,16 @@ impl ModelKey {
                     })?)
                 }
                 "q" if family == "variation" => {
-                    parsed.quantile = Some(parse_f64(key, name, value)?)
+                    let q = parse_f64(key, name, value)?;
+                    if !(q > 0.0 && q < 1.0) {
+                        return Err(key_err(
+                            key,
+                            format!(
+                                "parameter `q` must lie strictly between 0 and 1, got `{value}`"
+                            ),
+                        ));
+                    }
+                    parsed.quantile = Some(q);
                 }
                 "aged" if family == "drv" => parsed.aged_shift = Some(parse_f64(key, name, value)?),
                 other => {
@@ -1039,9 +1048,9 @@ impl ModelRegistry {
 /// [`CalibratedModel`] instances let scenarios share internal
 /// characterization state (the LUT-sharing the paper's flow relies on).
 ///
-/// The legacy
-/// [`ExperimentContext`](crate::experiment::ExperimentContext) is a
-/// thin shim over this type.
+/// A [`StudySession`](crate::session::StudySession) owns one; build it
+/// with [`StudySession::with_context`](crate::session::StudySession::with_context)
+/// to run studies over a custom registry.
 pub struct ModelContext {
     registry: ModelRegistry,
     // aging-lint: allow(no-unordered-iter) calibration memo, only ever probed by key; never iterated
@@ -1062,7 +1071,7 @@ impl Clone for ModelContext {
     fn clone(&self) -> Self {
         Self {
             registry: self.registry.clone(),
-            calibrated: Mutex::new(self.calibrated.lock().expect("cache poisoned").clone()),
+            calibrated: Mutex::new(self.memo().clone()),
             calibrations: AtomicUsize::new(self.calibrations.load(Ordering::Relaxed)),
         }
     }
@@ -1100,7 +1109,9 @@ impl ModelContext {
     ///
     /// The calibration lock is held across the solve, so concurrent
     /// callers of the same key never duplicate the work — "once per
-    /// distinct model" is a guarantee, not a fast path.
+    /// distinct model" is a guarantee, not a fast path. A solve that
+    /// panics leaves the memo as it was (entries are written only
+    /// after a successful calibration), so later calls go on serving.
     ///
     /// # Errors
     ///
@@ -1108,7 +1119,7 @@ impl ModelContext {
     pub fn calibrated(&self, key: &str) -> Result<Arc<dyn CalibratedModel>, CoreError> {
         let model = self.registry.resolve(key)?;
         let canonical = model.name().to_string();
-        let mut cache = self.calibrated.lock().expect("cache poisoned");
+        let mut cache = self.memo();
         if let Some(hit) = cache.get(&canonical) {
             return Ok(Arc::clone(hit));
         }
@@ -1123,11 +1134,14 @@ impl ModelContext {
     pub fn calibration_count(&self) -> usize {
         self.calibrations.load(Ordering::Relaxed)
     }
-}
 
-impl AsRef<ModelContext> for ModelContext {
-    fn as_ref(&self) -> &ModelContext {
-        self
+    /// The calibration memo. A panic inside a solve poisons the lock,
+    /// but never a half-written entry, so the memo stays sound.
+    // aging-lint: allow(no-unordered-iter) the keyed calibration memo; never iterated
+    fn memo(&self) -> MutexGuard<'_, HashMap<String, Arc<dyn CalibratedModel>>> {
+        self.calibrated
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner)
     }
 }
 
@@ -1206,6 +1220,35 @@ mod tests {
             );
             assert!(e.to_string().contains(key), "{key}: {e}");
         }
+    }
+
+    #[test]
+    fn variation_quantile_outside_the_open_unit_interval_is_rejected() {
+        for q in ["0", "-1", "2", "1"] {
+            let key = format!("variation:30,q={q}");
+            let e = ModelKey::parse(&key).unwrap_err();
+            assert!(
+                matches!(&e, CoreError::InvalidModelKey { key: k, .. } if *k == key),
+                "{key}: {e:?}"
+            );
+            assert!(e.to_string().contains("`q`"), "{key}: {e}");
+        }
+        assert!(ModelKey::parse("variation:30,q=0.1").unwrap().is_some());
+    }
+
+    #[test]
+    fn a_panicking_calibration_leaves_the_context_serving() {
+        let mut registry = ModelRegistry::builtin();
+        registry
+            .register_fn("explodes", "panics in calibrate", "none", || {
+                panic!("calibration blew up")
+            })
+            .unwrap();
+        let ctx = ModelContext::with_registry(registry);
+        let attempt = std::panic::AssertUnwindSafe(|| ctx.calibrated("explodes").map(|_| ()));
+        assert!(std::panic::catch_unwind(attempt).is_err());
+        assert!(ctx.calibrated(DEFAULT_MODEL).is_ok());
+        assert_eq!(ctx.clone().calibration_count(), 1);
     }
 
     #[test]

@@ -1,25 +1,25 @@
 //! The paper's tables as [`StudySpec`] presets.
 //!
-//! Each preset is a handful of axis declarations over the generic grid
-//! runner — the entire "runner" the old hardcoded `tableN` functions
-//! used to be. Rendering lives in [`crate::views`], which are pure
-//! functions of the resulting [`StudyReport`](crate::study::StudyReport).
+//! Each preset is a handful of axis declarations; a
+//! [`StudySession`](crate::session::StudySession) runs it like any other
+//! spec. Rendering lives in [`crate::views`], which are pure functions
+//! of the resulting [`StudyReport`](crate::study::StudyReport).
 //!
 //! All presets pin the policy seed to `1` (the historic LFSR seed) so
 //! the measured values match the pre-redesign runners bit-for-bit.
 //!
 //! # Examples
 //!
-//! Regenerating a paper table is preset → run → view:
+//! Regenerating a paper table is preset → session run → view:
 //!
 //! ```no_run
-//! use aging_cache::experiment::{ExperimentConfig, ExperimentContext};
+//! use aging_cache::experiment::ExperimentConfig;
+//! use aging_cache::session::StudySession;
 //! use aging_cache::{presets, views};
 //!
 //! # fn main() -> Result<(), aging_cache::CoreError> {
 //! let cfg = ExperimentConfig::paper_reference(); // 16 kB, 16 B, M = 4
-//! let ctx = ExperimentContext::new()?;
-//! let report = presets::table2(&cfg).run(&ctx)?;
+//! let report = StudySession::new().run(&presets::table2(&cfg))?;
 //! println!("{}", views::table2(&report)?);
 //! # Ok(())
 //! # }
@@ -30,14 +30,13 @@
 //! synthetic suite:
 //!
 //! ```no_run
-//! # use aging_cache::experiment::{ExperimentConfig, ExperimentContext};
+//! # use aging_cache::experiment::ExperimentConfig;
 //! # use aging_cache::presets;
+//! # use aging_cache::session::StudySession;
 //! # fn main() -> Result<(), aging_cache::CoreError> {
 //! # let cfg = ExperimentConfig::paper_reference();
-//! # let ctx = ExperimentContext::new()?;
-//! let report = presets::table2(&cfg)
-//!     .workload_names(["csv:/traces/my_app.csv"])?
-//!     .run(&ctx)?;
+//! let spec = presets::table2(&cfg).workload_names(["csv:/traces/my_app.csv"])?;
+//! let report = StudySession::new().run(&spec)?;
 //! # Ok(())
 //! # }
 //! ```

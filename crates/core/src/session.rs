@@ -4,11 +4,10 @@
 //! optional [`ResultCache`] — so repeated and overlapping studies are
 //! incremental instead of from-scratch.
 //!
-//! [`ScenarioGrid::run`](crate::study::ScenarioGrid::run) survives as
-//! a thin shim over a transient session (fresh memo, no cache, default
-//! executor), byte-identical to the historic behavior. New code —
-//! and everything that runs more than one grid — should hold a
-//! session:
+//! [`StudySession::run`] and [`StudySession::run_grid`] are the only
+//! way to run a grid. A one-off study is `StudySession::new().run(&spec)`:
+//! a fresh memo, no cache and the default executor. Holding the session
+//! across runs is what makes studies incremental:
 //!
 //! * the **simulation memo** outlives each run, so grids that share
 //!   `(geometry, workload, seed, horizon)` points — `repro_all`'s
@@ -82,7 +81,7 @@ use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
 
 /// Measured simulation outputs shared by scenarios that differ only in
 /// policy, model or update period.
-pub(crate) struct SimMeasurement {
+struct SimMeasurement {
     cycles: u64,
     esav: f64,
     miss_rate: f64,
@@ -145,7 +144,7 @@ fn scenario_key<'a>(
 /// waits while holding claims (it publishes or releases them first),
 /// so claims cannot deadlock, and every distinct key simulates once.
 #[derive(Default)]
-pub(crate) struct SimMemo {
+struct SimMemo {
     /// `None` while the key's claimant is simulating it.
     slots: Mutex<BTreeMap<SimKey, Option<Arc<SimMeasurement>>>>,
     settled: Condvar,
@@ -259,7 +258,7 @@ pub struct SessionStats {
 }
 
 #[derive(Default)]
-pub(crate) struct Counters {
+struct Counters {
     scenarios: AtomicUsize,
     simulations: AtomicUsize,
     sim_memo_hits: AtomicUsize,
@@ -279,19 +278,6 @@ impl Counters {
             cache_stores: self.cache_stores.load(Ordering::Relaxed),
         }
     }
-}
-
-/// The execution environment one grid run borrows: everything the
-/// task workers read, owned either by a [`StudySession`] or by the
-/// transient shim behind
-/// [`ScenarioGrid::run`](crate::study::ScenarioGrid::run).
-struct ExecEnv<'a> {
-    ctx: &'a ModelContext,
-    memo: &'a SimMemo,
-    cache: Option<&'a dyn ResultCache>,
-    exec: ExecOptions,
-    observer: Option<&'a dyn ExecObserver>,
-    counters: &'a Counters,
 }
 
 /// The long-lived front door of the execution layer.
@@ -453,17 +439,7 @@ impl StudySession {
     /// errors, the first scenario error by grid order, or
     /// [`CoreError::ScenarioPanicked`] if a scenario task panicked.
     pub fn run_grid(&self, grid: &ScenarioGrid) -> Result<StudyReport, CoreError> {
-        execute(
-            grid,
-            &ExecEnv {
-                ctx: &self.ctx,
-                memo: &self.memo,
-                cache: self.cache.as_deref(),
-                exec: self.exec.clone(),
-                observer: self.observer.as_deref(),
-                counters: &self.counters,
-            },
-        )
+        execute(grid, self)
     }
 
     /// A snapshot of the session's cumulative execution counters.
@@ -497,28 +473,6 @@ impl StudySession {
     }
 }
 
-/// The transient-session path behind
-/// [`ScenarioGrid::run`](crate::study::ScenarioGrid::run): borrowed
-/// context (so the caller's calibration memo keeps accumulating),
-/// fresh memo, no cache, default executor — the historic semantics,
-/// byte for byte.
-pub(crate) fn run_grid_oneshot(
-    grid: &ScenarioGrid,
-    ctx: &ModelContext,
-) -> Result<StudyReport, CoreError> {
-    execute(
-        grid,
-        &ExecEnv {
-            ctx,
-            memo: &SimMemo::default(),
-            cache: None,
-            exec: ExecOptions::default(),
-            observer: None,
-            counters: &Counters::default(),
-        },
-    )
-}
-
 fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
     if let Some(s) = payload.downcast_ref::<&str>() {
         (*s).to_string()
@@ -535,18 +489,18 @@ type Outcome = Result<(ScenarioRecord, RecordOrigin), CoreError>;
 /// The calibrated model of every model key in a grid.
 type Models<'a> = BTreeMap<&'a str, Arc<dyn CalibratedModel>>;
 
-fn execute(grid: &ScenarioGrid, env: &ExecEnv<'_>) -> Result<StudyReport, CoreError> {
+fn execute(grid: &ScenarioGrid, session: &StudySession) -> Result<StudyReport, CoreError> {
     // Calibrate every distinct model once, serially and in grid order:
     // deterministic first-error, and the workers below only ever hit
     // the context's calibration memo.
     let mut models = Models::new();
     for scenario in grid.scenarios() {
         if !models.contains_key(scenario.model.as_str()) {
-            models.insert(&scenario.model, env.ctx.calibrated(&scenario.model)?);
+            models.insert(&scenario.model, session.ctx.calibrated(&scenario.model)?);
         }
     }
 
-    if let Some(obs) = env.observer {
+    if let Some(obs) = session.observer.as_deref() {
         obs.on_start(grid.name(), grid.len());
     }
     let identities: Vec<Option<(String, bool)>> = grid
@@ -562,7 +516,7 @@ fn execute(grid: &ScenarioGrid, env: &ExecEnv<'_>) -> Result<StudyReport, CoreEr
 
     // The spec-level worker cap overrides the session's (threads(1)
     // still forces an in-thread sequential loop, as it always did).
-    let mut exec = env.exec.clone();
+    let mut exec = session.exec.clone();
     if let Some(threads) = grid.threads_cap() {
         exec = exec.with_threads(threads);
     }
@@ -585,7 +539,7 @@ fn execute(grid: &ScenarioGrid, env: &ExecEnv<'_>) -> Result<StudyReport, CoreEr
         // to the threaded backend and say so. The report is
         // byte-identical either way — backends only move work around.
         if grid.len() < popts.fallback_threshold {
-            if let Some(obs) = env.observer {
+            if let Some(obs) = session.observer.as_deref() {
                 obs.on_notice(&format!(
                     "process backend: {} scenarios is below the fallback threshold ({}); \
                      running threaded instead",
@@ -598,14 +552,14 @@ fn execute(grid: &ScenarioGrid, env: &ExecEnv<'_>) -> Result<StudyReport, CoreEr
                 exec = exec.with_threads(threads);
             }
         } else {
-            let Some(cache) = env.cache else {
+            let Some(cache) = session.cache.as_deref() else {
                 return Err(CoreError::Report {
                     message: "process backend requires a result cache over the shared directory \
                               (attach JsonlCache::in_dir on the same dir)"
                         .into(),
                 });
             };
-            crate::distrib::distribute(grid, cache, env.observer, &popts)?;
+            crate::distrib::distribute(grid, cache, session.observer.as_deref(), &popts)?;
             cache.refresh()?;
         }
     }
@@ -620,7 +574,7 @@ fn execute(grid: &ScenarioGrid, env: &ExecEnv<'_>) -> Result<StudyReport, CoreEr
         grid,
         models: &models,
         identities: &identities,
-        env,
+        session,
         evals: ThreadedExecutor::with_threads(per_unit),
         slots: (0..grid.len()).map(|_| Mutex::new(None)).collect(),
         done: AtomicUsize::new(0),
@@ -628,7 +582,7 @@ fn execute(grid: &ScenarioGrid, env: &ExecEnv<'_>) -> Result<StudyReport, CoreEr
     exec.with_threads(workers)
         .build()
         .execute(units.len(), &|u| run.run(&units[u]));
-    assemble(grid, run.slots, env)
+    assemble(grid, run.slots, session)
 }
 
 /// Partitions a grid into work units by trace identity: the scenarios
@@ -673,7 +627,7 @@ fn work_units(grid: &ScenarioGrid, identities: &Identities) -> Vec<Vec<usize>> {
 fn assemble(
     grid: &ScenarioGrid,
     slots: Vec<Mutex<Option<Result<ScenarioRecord, CoreError>>>>,
-    env: &ExecEnv<'_>,
+    session: &StudySession,
 ) -> Result<StudyReport, CoreError> {
     let mut records = Vec::with_capacity(slots.len());
     for slot in slots {
@@ -684,8 +638,8 @@ fn assemble(
         }
     }
     let report = StudyReport::from_records(grid.name().to_string(), records);
-    if let Some(obs) = env.observer {
-        obs.on_finish(&report, &env.counters.snapshot());
+    if let Some(obs) = session.observer.as_deref() {
+        obs.on_finish(&report, &session.counters.snapshot());
     }
     Ok(report)
 }
@@ -695,7 +649,7 @@ struct UnitRun<'a> {
     grid: &'a ScenarioGrid,
     models: &'a Models<'a>,
     identities: &'a Identities,
-    env: &'a ExecEnv<'a>,
+    session: &'a StudySession,
     /// The pool a unit spreads its evaluations over: more than one
     /// thread only when the grid has fewer units than workers.
     evals: ThreadedExecutor,
@@ -715,7 +669,7 @@ impl UnitRun<'_> {
     /// other unfinished slots stay empty behind it, so the run still
     /// reports the first error in grid order.
     fn run(&self, unit: &[usize]) {
-        self.env
+        self.session
             .counters
             .scenarios
             .fetch_add(unit.len(), Ordering::Relaxed);
@@ -742,7 +696,7 @@ impl UnitRun<'_> {
 
     /// Stores one scenario's outcome and streams it to the observer.
     fn emit(&self, i: usize, outcome: Outcome) {
-        if let (Some(obs), Ok((record, origin))) = (self.env.observer, &outcome) {
+        if let (Some(obs), Ok((record, origin))) = (self.session.observer.as_deref(), &outcome) {
             let finished = self.done.fetch_add(1, Ordering::Relaxed) + 1;
             obs.on_record(record, *origin, finished, self.slots.len());
         }
@@ -760,7 +714,7 @@ impl UnitRun<'_> {
         let grid_scenarios = self.grid.scenarios();
         let mut misses: Vec<(usize, Option<Fingerprint>)> = Vec::new();
         let mut repeats = Vec::new();
-        match self.env.cache {
+        match self.session.cache.as_deref() {
             Some(cache) => {
                 let mut fingerprints: Vec<(Fingerprint, usize)> = scenarios
                     .iter()
@@ -782,7 +736,10 @@ impl UnitRun<'_> {
                     previous = Some(fp.canonical());
                     match cache.lookup(fp) {
                         Ok(Some(hit)) => {
-                            self.env.counters.cache_hits.fetch_add(1, Ordering::Relaxed);
+                            self.session
+                                .counters
+                                .cache_hits
+                                .fetch_add(1, Ordering::Relaxed);
                             let record = hit.into_record(grid_scenarios[*i].clone());
                             self.emit(*i, Ok((record, RecordOrigin::Cached)));
                         }
@@ -868,7 +825,7 @@ impl UnitRun<'_> {
         }
         let mut have: BTreeMap<SimKey, Arc<SimMeasurement>> = BTreeMap::new();
         let mut simulated = 0;
-        let memo = self.env.memo;
+        let memo = &self.session.memo;
         loop {
             let claimed = memo.claim(needed.keys().filter(|k| !have.contains_key(*k)));
             have.extend(claimed.ready);
@@ -879,7 +836,7 @@ impl UnitRun<'_> {
                 };
                 let reps: Vec<usize> = guard.keys.iter().map(|k| needed[k]).collect();
                 let measured = self.simulate_trace(&reps)?;
-                self.env
+                self.session
                     .counters
                     .simulations
                     .fetch_add(measured.len(), Ordering::Relaxed);
@@ -897,7 +854,7 @@ impl UnitRun<'_> {
             // released.
             memo.wait(&claimed.elsewhere);
         }
-        self.env
+        self.session
             .counters
             .sim_memo_hits
             .fetch_add(keys.len() - simulated, Ordering::Relaxed);
@@ -1010,7 +967,7 @@ impl UnitRun<'_> {
             update_days: scenario.update_days,
             policy: &policy_builder,
         })?;
-        self.env
+        self.session
             .counters
             .evaluations
             .fetch_add(1, Ordering::Relaxed);
@@ -1061,9 +1018,9 @@ impl UnitRun<'_> {
             sleep_fractions: measured.sleep_fractions.clone(),
             metrics,
         };
-        if let (Some(cache), Some(fp)) = (self.env.cache, fingerprint) {
+        if let (Some(cache), Some(fp)) = (self.session.cache.as_deref(), fingerprint) {
             cache.store(fp, &CachedMeasurement::of_record(&record))?;
-            self.env
+            self.session
                 .counters
                 .cache_stores
                 .fetch_add(1, Ordering::Relaxed);

@@ -10,20 +10,19 @@
 //! 2. [`StudySpec::expand`] produces a [`ScenarioGrid`]: the cartesian
 //!    product of the axes, each point a [`Scenario`] with fully derived
 //!    seeds (see below).
-//! 3. [`ScenarioGrid::run`] executes every scenario — across std
+//! 3. [`StudySession::run`](crate::session::StudySession::run) (or
+//!    [`StudySession::run_grid`](crate::session::StudySession::run_grid)
+//!    for an expanded grid) executes every scenario — across std
 //!    threads by default — and returns a [`StudyReport`] of
 //!    [`ScenarioRecord`]s that serializes to JSON
 //!    ([`StudyReport::to_json`]) and back ([`StudyReport::from_json`]).
-//!    Execution itself lives in the open execution layer
-//!    ([`crate::exec`] / [`crate::session`]): `run` is a shim over a
-//!    transient [`StudySession`](crate::session::StudySession), and a
-//!    long-lived session adds a cross-run simulation memo, a
+//!    The session is the one way to run a grid: it owns the model
+//!    context, a cross-run simulation memo and, optionally, a
 //!    content-addressed result cache ([`crate::rescache`]), executor
-//!    selection and streaming progress on top of the same grid.
+//!    selection and streaming progress ([`crate::exec`]).
 //!
-//! The historic `table1()..table4()` runners are now ~10-line presets
-//! over this engine ([`crate::presets`]) plus pure table views
-//! ([`crate::views`]).
+//! The paper's tables are ~10-line presets over this engine
+//! ([`crate::presets`]) plus pure table views ([`crate::views`]).
 //!
 //! All three evaluation axes are open registries:
 //!
@@ -61,18 +60,17 @@
 //! A 2×2×3 grid over sizes, bank counts and policies, run in parallel:
 //!
 //! ```no_run
-//! use aging_cache::model::ModelContext;
+//! use aging_cache::session::StudySession;
 //! use aging_cache::study::StudySpec;
 //!
 //! # fn main() -> Result<(), aging_cache::CoreError> {
-//! let ctx = ModelContext::new();
-//! let report = StudySpec::new("size-banks-policy sweep")
+//! let spec = StudySpec::new("size-banks-policy sweep")
 //!     .cache_kb([8, 16])
 //!     .banks([2, 4])
 //!     .policies(["probing", "scrambling", "gray"])
 //!     .workload_names(["sha", "CRC32"])?
-//!     .trace_cycles(160_000)
-//!     .run(&ctx)?;
+//!     .trace_cycles(160_000);
+//! let report = StudySession::new().run(&spec)?;
 //! println!("{} scenarios", report.records().len());
 //! println!("{}", report.to_json());
 //! # Ok(())
@@ -83,16 +81,15 @@
 //! calibrates once, and every record carries the model's named metrics:
 //!
 //! ```no_run
-//! # use aging_cache::model::ModelContext;
+//! # use aging_cache::session::StudySession;
 //! # use aging_cache::study::StudySpec;
 //! # fn main() -> Result<(), aging_cache::CoreError> {
-//! # let ctx = ModelContext::new();
-//! let report = StudySpec::new("temperature sweep")
+//! let spec = StudySpec::new("temperature sweep")
 //!     .models(["nbti-45nm"])
 //!     .temps_c([45.0, 85.0, 125.0])
 //!     .workload_names(["sha"])?
-//!     .trace_cycles(160_000)
-//!     .run(&ctx)?;
+//!     .trace_cycles(160_000);
+//! let report = StudySession::new().run(&spec)?;
 //! for r in report.records() {
 //!     println!("{}: LT {:.2} y", r.scenario.model, r.lt_years());
 //! }
@@ -102,9 +99,8 @@
 
 use crate::error::CoreError;
 use crate::json::Json;
-use crate::model::{self, Metrics, ModelContext, ModelParams};
+use crate::model::{self, Metrics, ModelParams};
 use crate::registry::{derive_policy_seed, PolicyRegistry};
-use crate::session;
 use crate::workload::{SyntheticWorkload, Workload, WorkloadRegistry, WorkloadSourceInfo};
 use cache_sim::{CacheGeometry, ReplacementRegistry, SimError, DEFAULT_REPLACEMENT};
 use std::sync::Arc;
@@ -663,18 +659,6 @@ impl StudySpec {
             threads: self.threads,
         })
     }
-
-    /// Expands and runs the grid — the one-call path. Accepts a
-    /// [`ModelContext`] or the legacy
-    /// [`ExperimentContext`](crate::experiment::ExperimentContext)
-    /// shim.
-    ///
-    /// # Errors
-    ///
-    /// Propagates expansion and execution errors.
-    pub fn run<C: AsRef<ModelContext>>(&self, ctx: &C) -> Result<StudyReport, CoreError> {
-        self.expand()?.run(ctx)
-    }
 }
 
 /// One fully resolved point of the evaluation grid.
@@ -919,35 +903,6 @@ impl ScenarioGrid {
     pub fn is_empty(&self) -> bool {
         self.scenarios.is_empty()
     }
-
-    /// Runs every scenario and collects the report — the legacy
-    /// one-shot path, now a thin shim over the execution layer: a
-    /// transient session with a fresh simulation memo, no result
-    /// cache, and the default (threaded) executor. Byte-identical to
-    /// the historic behavior; anything that runs more than one grid
-    /// should hold a [`StudySession`](crate::session::StudySession)
-    /// instead.
-    ///
-    /// The context is anything that dereferences to a
-    /// [`ModelContext`] — a `ModelContext` itself, or the legacy
-    /// [`ExperimentContext`](crate::experiment::ExperimentContext)
-    /// shim. All distinct device models calibrate up front, exactly
-    /// once each (the *caller's* context memoizes per canonical key,
-    /// and keeps its memo), before any worker starts.
-    ///
-    /// Scenarios execute across worker threads (capped by
-    /// [`StudySpec::threads`], defaulting to available parallelism);
-    /// records land in scenario-id order, so the report — including its
-    /// JSON emission — is byte-identical to a sequential run.
-    ///
-    /// # Errors
-    ///
-    /// Returns model resolution/calibration errors, the first scenario
-    /// error by grid order, or [`CoreError::ScenarioPanicked`] if a
-    /// scenario task panicked.
-    pub fn run<C: AsRef<ModelContext>>(&self, ctx: &C) -> Result<StudyReport, CoreError> {
-        session::run_grid_oneshot(self, ctx.as_ref())
-    }
 }
 
 /// Measured results for one scenario.
@@ -1159,6 +1114,8 @@ impl StudyReport {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::model::ModelContext;
+    use crate::session::StudySession;
 
     fn tiny_spec() -> StudySpec {
         StudySpec::new("tiny")
@@ -1242,13 +1199,11 @@ mod tests {
         let path = dir.join("short.csv");
         std::fs::write(&path, &text).unwrap();
 
-        let ctx = ModelContext::new();
-        let report = StudySpec::new("short")
+        let spec = StudySpec::new("short")
             .workload_names([format!("csv:{}", path.display())])
             .unwrap()
-            .trace_cycles(40_000)
-            .run(&ctx)
-            .unwrap();
+            .trace_cycles(40_000);
+        let report = StudySession::new().run(&spec).unwrap();
         let r = &report.records()[0];
         assert_eq!(r.scenario.trace_cycles, 40_000, "the request is recorded");
         assert_eq!(r.sim_cycles, 5_000, "the truth is recorded");
@@ -1451,23 +1406,22 @@ mod tests {
         registry
             .register_fn("shadow", "shadows esav", "none", || Ok(Arc::new(Shadow)))
             .unwrap();
-        let e = StudySpec::new("shadow")
+        let spec = StudySpec::new("shadow")
             .models(["shadow"])
             .workload_names(["profile:0.1,0.8,0.6,0.3"])
-            .unwrap()
-            .run(&ModelContext::with_registry(registry))
+            .unwrap();
+        let e = StudySession::with_context(ModelContext::with_registry(registry))
+            .run(&spec)
             .unwrap_err();
         assert!(e.to_string().contains("shadows a record field"), "{e}");
     }
 
     #[test]
     fn pinned_profile_scenarios_skip_simulation() {
-        let ctx = ModelContext::new();
-        let report = StudySpec::new("pinned")
+        let spec = StudySpec::new("pinned")
             .workload_names(["profile:0.1,0.8,0.6,0.3"])
-            .unwrap()
-            .run(&ctx)
             .unwrap();
+        let report = StudySession::new().run(&spec).unwrap();
         let r = &report.records()[0];
         assert_eq!(r.sim_cycles, 0);
         assert!(r.esav.is_nan() && r.miss_rate.is_nan());

@@ -3,11 +3,14 @@
 //! numbers bit-for-bit, and calibration runs exactly once per distinct
 //! model key across a grid.
 
-use aging_cache::model::{ModelContext, ModelEval, METRIC_LT, METRIC_LT0};
+use aging_cache::aging::AgingAnalysis;
+use aging_cache::model::{canonicalize, ModelContext, ModelEval, ModelKey, METRIC_LT, METRIC_LT0};
 use aging_cache::registry::PolicyRegistry;
+use aging_cache::session::StudySession;
 use aging_cache::study::StudySpec;
 use aging_cache::CoreError;
 use cache_sim::{BankMapping, IdentityMapping};
+use nbti_model::calibration;
 
 fn probing4() -> impl Fn() -> Result<Box<dyn BankMapping>, CoreError> {
     || PolicyRegistry::global().build("probing", 4, 1)
@@ -94,33 +97,30 @@ fn failure_criterion_is_monotone() {
 }
 
 /// Golden: the `nbti-45nm` reference model reproduces the
-/// pre-model-axis engine — `ExperimentContext.aging` driving
-/// `cache_lifetime_with` directly — **bit for bit**, through a real
-/// simulated workload.
+/// pre-model-axis engine — an [`AgingAnalysis`] over the reference
+/// 2.93-year solve driving `cache_lifetime_with` directly — **bit for
+/// bit**, through a real simulated workload.
 #[test]
 fn reference_model_matches_the_pr2_engine_bit_for_bit() {
-    let ctx = aging_cache::experiment::ExperimentContext::new().expect("calibration");
-    let report = StudySpec::new("golden")
+    let aging = AgingAnalysis::new(calibration::reference_45nm().clone());
+    let spec = StudySpec::new("golden")
         .workload_names(["sha", "CRC32"])
         .unwrap()
         .trace_cycles(40_000)
-        .policy_seed(1)
-        .run(&ctx)
-        .expect("study");
+        .policy_seed(1);
+    let report = StudySession::new().run(&spec).expect("study");
     for r in report.records() {
         // The PR-2 engine path: identity baseline + policy rotation
-        // from the measured sleep fractions, on the shim's public
-        // calibrated analysis.
+        // from the measured sleep fractions, on the public calibrated
+        // analysis.
         let mut identity = IdentityMapping;
-        let lt0 = ctx
-            .aging
+        let lt0 = aging
             .cache_lifetime_with(&r.sleep_fractions, 0.5, &mut identity)
             .expect("lt0");
         let mut probing = PolicyRegistry::global()
             .build("probing", r.scenario.banks, 1)
             .expect("probing");
-        let lt = ctx
-            .aging
+        let lt = aging
             .cache_lifetime_with(&r.sleep_fractions, 0.5, probing.as_mut())
             .expect("lt");
         assert_eq!(
@@ -146,43 +146,43 @@ fn reference_model_matches_the_pr2_engine_bit_for_bit() {
 /// across a whole grid — aliases included.
 #[test]
 fn grid_calibrates_once_per_distinct_model() {
-    let ctx = ModelContext::new();
-    let report = StudySpec::new("calibration count")
+    let session = StudySession::new();
+    let spec = StudySpec::new("calibration count")
         .models(["nbti-45nm", "nbti:vlow=0.75", "nbti:temp=105"])
         .policies(["probing", "gray"])
         .workload_names(["profile:0.1,0.8,0.6,0.3"])
-        .unwrap()
-        .run(&ctx)
-        .expect("study");
+        .unwrap();
+    let report = session.run(&spec).expect("study");
     // 3 listed models × 2 policies = 6 scenarios, but `nbti:vlow=0.75`
     // canonicalizes to `nbti-45nm`: only 2 distinct models calibrate.
     assert_eq!(report.records().len(), 6);
     assert_eq!(
-        ctx.calibration_count(),
+        session.context().calibration_count(),
         2,
         "one calibration per distinct model"
     );
     // Re-running on the same context calibrates nothing new.
-    StudySpec::new("again")
+    let again = StudySpec::new("again")
         .models(["nbti:temp=105"])
         .workload_names(["profile:0.1,0.8,0.6,0.3"])
-        .unwrap()
-        .run(&ctx)
-        .expect("study");
-    assert_eq!(ctx.calibration_count(), 2, "contexts cache across runs");
+        .unwrap();
+    session.run(&again).expect("study");
+    assert_eq!(
+        session.context().calibration_count(),
+        2,
+        "contexts cache across runs"
+    );
 }
 
 /// The model axis round-trips through report JSON: non-default keys
 /// are recorded, the default stays invisible.
 #[test]
 fn model_axis_round_trips_through_reports() {
-    let ctx = ModelContext::new();
-    let report = StudySpec::new("model json")
+    let spec = StudySpec::new("model json")
         .models(["nbti-45nm", "variation:30"])
         .workload_names(["profile:0.1,0.8,0.6,0.3"])
-        .unwrap()
-        .run(&ctx)
-        .expect("study");
+        .unwrap();
+    let report = StudySession::new().run(&spec).expect("study");
     let text = report.to_json();
     let back = aging_cache::study::StudyReport::from_json(&text).expect("parse");
     assert_eq!(back.to_json(), text);
@@ -192,4 +192,144 @@ fn model_axis_round_trips_through_reports() {
         back.records()[1].metric("lt0_q10_years"),
         report.records()[1].metric("lt0_q10_years")
     );
+}
+
+/// Model-key fragments: family heads, parameter names and values,
+/// with signs, zeros, non-finite spellings and out-of-range exponents.
+const HEADS: &[&str] = &[
+    "nbti",
+    "nbti-45nm",
+    "variation",
+    "drv",
+    "",
+    "NBTI",
+    "custom-model",
+];
+const NAMES: &[&str] = &[
+    "temp", "vlow", "fail", "sleep", "sigma", "cells", "q", "aged", "volume", "",
+];
+const VALUES: &[&str] = &[
+    "0",
+    "-0",
+    "1",
+    "-1",
+    "2",
+    "0.5",
+    "30",
+    "+5",
+    "1e-300",
+    "1e308",
+    "-1e308",
+    "1e400",
+    "nan",
+    "NaN",
+    "inf",
+    "-inf",
+    "gated",
+    "scaled",
+    "drowsy",
+    "",
+    "100000000000000000",
+    "18446744073709551616",
+    " 3",
+    "0x10",
+];
+
+/// A key built from the grammar: `head[:part(,part)*]`, where a part is
+/// a bare value (the positional variation sigma) or `name=value`, with
+/// the odd stray separator.
+fn grammar_key(g: &mut quickprop::Gen, heads: &[&str]) -> String {
+    let mut key = g.pick(heads).to_string();
+    if g.u32_in(0..5) == 0 {
+        return key;
+    }
+    key.push(':');
+    let parts: Vec<String> = (0..g.usize_in(0..4))
+        .map(|_| match g.u32_in(0..6) {
+            0 => g.pick(VALUES).to_string(),
+            1 => format!("{}=", g.pick(NAMES)),
+            2 => format!("{}={}={}", g.pick(NAMES), g.pick(VALUES), g.pick(VALUES)),
+            _ => format!("{}={}", g.pick(NAMES), g.pick(VALUES)),
+        })
+        .collect();
+    key.push_str(&parts.join(","));
+    key
+}
+
+fn assert_typed(key: &str, e: &CoreError) {
+    assert!(
+        matches!(e, CoreError::InvalidModelKey { key: k, .. } if k == key),
+        "`{key}` must fail as InvalidModelKey carrying the key: {e:?}"
+    );
+}
+
+/// `ModelKey::parse` and `canonicalize` never panic on grammar-shaped
+/// input, fail only with an `InvalidModelKey` naming the input, and
+/// `canonicalize` is idempotent on everything it accepts.
+#[test]
+fn model_key_parsing_is_total_typed_and_idempotent() {
+    quickprop::cases(if cfg!(debug_assertions) { 2000 } else { 8000 }, |g| {
+        let key = grammar_key(g, HEADS);
+        if let Err(e) = ModelKey::parse(&key) {
+            assert_typed(&key, &e);
+        }
+        match canonicalize(&key) {
+            Ok(canonical) => assert_eq!(
+                canonicalize(&canonical).as_deref(),
+                Ok(canonical.as_str()),
+                "canonicalize must be idempotent on `{key}`"
+            ),
+            Err(e) => assert_typed(&key, &e),
+        }
+    });
+}
+
+/// A `variation:` or `drv:` key from the grammar, built to be mostly
+/// accepted: the positional sigma first, then family parameters with
+/// grammar values.
+fn family_key(g: &mut quickprop::Gen) -> String {
+    let (head, names): (&str, &[&str]) = if g.u32_in(0..3) == 0 {
+        ("drv", &["aged", "temp", "vlow", "fail", "sleep"])
+    } else {
+        (
+            "variation",
+            &["cells", "q", "temp", "vlow", "fail", "sleep"],
+        )
+    };
+    let mut parts = Vec::new();
+    if head == "variation" {
+        parts.push(g.pick(VALUES).to_string());
+    }
+    for _ in 0..g.usize_in(0..3) {
+        parts.push(format!("{}={}", g.pick(names), g.pick(VALUES)));
+    }
+    format!("{head}:{}", parts.join(","))
+}
+
+/// Calibrating an accepted `variation:` or `drv:` key returns a model
+/// or a typed error — never a panic — for a bounded sample of
+/// grammar-built keys, starting with the extreme quantile and cell
+/// count that once rounded the worst-cell quantile to 1.
+#[test]
+fn accepted_family_keys_calibrate_or_fail_typed() {
+    let ctx = ModelContext::new();
+    let budget = if cfg!(debug_assertions) { 8 } else { 24 };
+    let mut sampled = std::collections::BTreeSet::new();
+    let mut calibrate = |key: &str| {
+        let Ok(canonical) = canonicalize(key) else {
+            return;
+        };
+        if sampled.len() < budget && sampled.insert(canonical) {
+            if let Err(e) = ctx.calibrated(key) {
+                assert!(
+                    !e.to_string().is_empty(),
+                    "`{key}`: an error without a message"
+                );
+            }
+        }
+    };
+    calibrate("variation:30,q=1e-300");
+    calibrate("variation:30,cells=100000000000000000");
+    quickprop::cases(400, |g| calibrate(&family_key(g)));
+    assert_eq!(sampled.len(), budget, "the sample must fill its budget");
 }

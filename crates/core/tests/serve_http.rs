@@ -1,9 +1,9 @@
 //! The serving layer over real TCP: concurrent identical requests
 //! must cost exactly one simulation per cell, served bytes must match
 //! the CLI renderers for every format, cold cells must 409 instead of
-//! computing on a GET, a hostile request body must be a 400 rather than
-//! a crash, and a token-gated shutdown must drain and flush the
-//! journal.
+//! computing on a GET, a hostile request body or model key must be a
+//! 400 rather than a crash, and a token-gated shutdown must drain and
+//! flush the journal.
 
 use aging_cache::analysis::{self, Axis};
 use aging_cache::render::{self, Format};
@@ -306,6 +306,27 @@ fn a_hostile_nesting_depth_is_a_400_and_the_server_keeps_serving() {
             "{text}"
         );
 
+        let (status, _, _) = get(addr, "/stats");
+        assert_eq!(status, 200, "the next request is still served");
+    });
+}
+
+#[test]
+fn a_hostile_model_key_is_a_400_and_the_server_keeps_serving() {
+    let server = StudyServer::bind(MemoryCache::new(), ServeOptions::default()).unwrap();
+    with_server(&server, |addr| {
+        // A quantile outside (0, 1) is refused when the key parses,
+        // before anything calibrates.
+        let (status, _, body) = post(
+            addr,
+            "/run?workloads=sha&trace-cycles=4000&model=variation:30,q=0",
+        );
+        let text = String::from_utf8(body).unwrap();
+        assert!((400..500).contains(&status), "{status}: {text}");
+        assert!(text.contains("`q`"), "{text}");
+
+        let (status, _, body) = post(addr, "/run?workloads=sha&trace-cycles=4000");
+        assert_eq!(status, 200, "{}", String::from_utf8_lossy(&body));
         let (status, _, _) = get(addr, "/stats");
         assert_eq!(status, 200, "the next request is still served");
     });

@@ -210,7 +210,18 @@ impl VariationModel {
         let q = q.clamp(1e-12, 1.0 - 1e-12);
         // Worst-cell mismatch at this bank quantile.
         let p_single = (1.0 - q).powf(1.0 / self.cells_per_bank as f64);
-        let x = self.sigma_mismatch() * inverse_normal_cdf(0.5 * (p_single + 1.0));
+        let p = 0.5 * (p_single + 1.0);
+        // When `p` rounds to 1 (a tiny `q` or a huge cell count) the
+        // worst cell lies beyond any finite quantile, so beyond the
+        // characterized range: take the range's end, as `t_eff_star`
+        // does for finite mismatches past it.
+        let x = if p < 1.0 {
+            self.sigma_mismatch() * inverse_normal_cdf(p)
+        } else if self.sigma_vth > 0.0 {
+            f64::INFINITY
+        } else {
+            0.0
+        };
         table.t_eff_star(x) / rate
     }
 
@@ -352,6 +363,29 @@ mod tests {
         let drowsy = var.median_bank_lifetime(&table, 0.5 * 0.3);
         assert!(drowsy > busy);
         assert_eq!(var.bank_lifetime_quantile(&table, 0.0, 0.5), f64::INFINITY);
+    }
+
+    #[test]
+    fn extreme_quantiles_and_cell_counts_stay_finite() {
+        let var = VariationModel::new(0.030, 37_000).unwrap();
+        let table = var.characterize(solver()).unwrap();
+        let (_, range_end) = table.grid().last().unwrap();
+        // q -> 0 pushes the worst cell past the characterized range.
+        for q in [0.0, 1e-300, 1e-12] {
+            let lt = var.bank_lifetime_quantile(&table, 1.0, q);
+            assert!(lt.is_finite() && lt > 0.0, "q = {q}: {lt}");
+            assert_eq!(lt, range_end, "q = {q}");
+        }
+        let huge = VariationModel::new(0.030, 100_000_000_000_000_000).unwrap();
+        let lt = huge.bank_lifetime_quantile(&table, 1.0, 0.5);
+        assert!(lt.is_finite() && lt > 0.0, "{lt}");
+        // No variation: every cell is nominal whatever the quantile.
+        let flat = VariationModel::new(0.0, 37_000).unwrap();
+        let flat_table = flat.characterize(solver()).unwrap();
+        assert_eq!(
+            flat.bank_lifetime_quantile(&flat_table, 1.0, 0.0),
+            flat.bank_lifetime_quantile(&flat_table, 1.0, 0.5)
+        );
     }
 
     #[test]

@@ -5,11 +5,12 @@
 //! cargo run --release --example lifetime_exploration
 //! ```
 
-use nbti_cache_repro::arch::experiment::{run_suite, ExperimentConfig};
+use nbti_cache_repro::arch::experiment::{BenchResult, ExperimentConfig};
 use nbti_cache_repro::arch::report::{pct, years, Table};
+use nbti_cache_repro::arch::StudySession;
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
-    let ctx = ExperimentConfig::paper_reference().build_context()?;
+    let session = StudySession::new();
 
     let mut table = Table::new(
         "Design space: suite-average idleness and lifetime",
@@ -28,7 +29,9 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
                 .with_cache_kb(kb)
                 .with_banks(banks)
                 .with_trace_cycles(160_000);
-            let results = run_suite(&cfg, &ctx)?;
+            let report = session.run(&cfg.study("suite").policies(["probing"]))?;
+            let results: Vec<BenchResult> =
+                report.records().iter().map(BenchResult::from).collect();
             let n = results.len() as f64;
             let idle = results.iter().map(|r| r.avg_useful_idleness()).sum::<f64>() / n;
             let lt = results.iter().map(|r| r.lt_years).sum::<f64>() / n;

@@ -6,19 +6,22 @@
 //! cargo run --release --example quickstart
 //! ```
 
-use nbti_cache_repro::arch::experiment::{run_benchmark, ExperimentConfig};
-use nbti_cache_repro::traces::suite;
+use nbti_cache_repro::arch::experiment::{BenchResult, ExperimentConfig};
+use nbti_cache_repro::arch::StudySession;
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     // The paper's reference configuration: a 16 kB direct-mapped cache
     // with 16 B lines, split into M = 4 uniform banks.
     let cfg = ExperimentConfig::paper_reference();
-    let ctx = cfg.build_context()?;
 
     // `sha` is the paper's best case: two banks stream constantly while
     // the other two are idle >94 % of the time.
-    let profile = suite::by_name("sha").expect("sha is in the MediaBench suite");
-    let result = run_benchmark(&profile, &cfg, &ctx)?;
+    let spec = cfg
+        .study("quickstart")
+        .workload_names(["sha"])?
+        .policies(["probing"]);
+    let report = StudySession::new().run(&spec)?;
+    let result = BenchResult::from(&report.records()[0]);
 
     println!("benchmark        : {}", result.name);
     println!(

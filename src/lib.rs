@@ -14,27 +14,26 @@
 //!
 //! # Quick start
 //!
-//! Declare a study over any slice of the evaluation grid; axes accept
-//! one or many values, scenarios run in parallel, and the report
+//! Declare a study over any slice of the evaluation grid — axes accept
+//! one or many values — and run it through a `StudySession`, the one
+//! way to run a study: scenarios run in parallel, and the report
 //! serializes to JSON:
 //!
 //! ```no_run
-//! use nbti_cache_repro::arch::experiment::ExperimentContext;
-//! use nbti_cache_repro::arch::StudySpec;
+//! use nbti_cache_repro::arch::{StudySession, StudySpec};
 //!
 //! # fn main() -> Result<(), Box<dyn std::error::Error>> {
-//! let ctx = ExperimentContext::new()?; // calibrated 2.93-year cell
-//! let report = StudySpec::new("sweep")
+//! let spec = StudySpec::new("sweep")
 //!     .cache_kb([8, 16, 32])
 //!     .banks([2, 4, 8])
-//!     .policies(["probing", "scrambling", "gray", "rotate-xor"])
-//!     .run(&ctx)?;
+//!     .policies(["probing", "scrambling", "gray", "rotate-xor"]);
+//! let report = StudySession::new().run(&spec)?; // calibrated 2.93-year cell
 //! println!("{}", report.to_json());
 //! # Ok(())
 //! # }
 //! ```
 //!
-//! The paper's tables are ~10-line presets over the same engine
+//! The paper's tables are ~10-line presets run the same way
 //! (`arch::presets` + `arch::views`), and new indexing policies
 //! register by name (`arch::PolicyRegistry`) without touching this
 //! workspace — see `examples/policy_comparison.rs`.

@@ -5,9 +5,8 @@
 //! lengths and assert the paper's *qualitative* results: who wins, by
 //! roughly what factor, and where the trends point.
 
-use nbti_cache_repro::arch::experiment::{
-    claims_from, run_suite, ExperimentConfig, ExperimentContext,
-};
+use nbti_cache_repro::arch::experiment::{claims_from, BenchResult, ExperimentConfig};
+use nbti_cache_repro::arch::StudySession;
 
 fn quick(kb: u64, banks: u32) -> ExperimentConfig {
     ExperimentConfig::paper_reference()
@@ -16,14 +15,17 @@ fn quick(kb: u64, banks: u32) -> ExperimentConfig {
         .with_trace_cycles(160_000)
 }
 
-fn ctx() -> ExperimentContext {
-    ExperimentContext::new().expect("calibration")
+/// The whole suite at one configuration under Probing, one record per
+/// benchmark.
+fn run_suite(cfg: &ExperimentConfig) -> Vec<BenchResult> {
+    let spec = cfg.study("suite").policies(["probing"]);
+    let report = StudySession::new().run(&spec).expect("suite");
+    report.records().iter().map(BenchResult::from).collect()
 }
 
 #[test]
 fn reindexing_beats_power_management_on_every_benchmark() {
-    let ctx = ctx();
-    let results = run_suite(&quick(16, 4), &ctx).expect("suite");
+    let results = run_suite(&quick(16, 4));
     assert_eq!(results.len(), 18);
     for r in &results {
         assert!(
@@ -45,10 +47,9 @@ fn reindexing_beats_power_management_on_every_benchmark() {
 #[test]
 fn esav_averages_match_paper_per_size() {
     // Paper Table II averages: 32.2 / 44.3 / 55.5 %.
-    let ctx = ctx();
     let mut previous = 0.0;
     for (kb, paper) in [(8u64, 0.322), (16, 0.443), (32, 0.555)] {
-        let results = run_suite(&quick(kb, 4), &ctx).expect("suite");
+        let results = run_suite(&quick(kb, 4));
         let esav = results.iter().map(|r| r.esav).sum::<f64>() / results.len() as f64;
         assert!(
             (esav - paper).abs() < 0.05,
@@ -62,11 +63,10 @@ fn esav_averages_match_paper_per_size() {
 #[test]
 fn lifetime_grows_with_bank_count() {
     // Paper Table IV: both idleness and lifetime increase with M.
-    let ctx = ctx();
     let mut last_lt = 0.0;
     let mut last_idle = 0.0;
     for banks in [2u32, 4, 8] {
-        let results = run_suite(&quick(16, banks), &ctx).expect("suite");
+        let results = run_suite(&quick(16, banks));
         let lt = results.iter().map(|r| r.lt_years).sum::<f64>() / results.len() as f64;
         let idle =
             results.iter().map(|r| r.avg_useful_idleness()).sum::<f64>() / results.len() as f64;
@@ -85,11 +85,10 @@ fn lifetime_grows_with_bank_count() {
 
 #[test]
 fn headline_claims_within_tolerance() {
-    let ctx = ctx();
     let base = ExperimentConfig::paper_reference().with_trace_cycles(160_000);
     let data: Vec<(u64, _)> = [8u64, 16, 32]
         .iter()
-        .map(|&kb| (kb, run_suite(&base.with_cache_kb(kb), &ctx).expect("suite")))
+        .map(|&kb| (kb, run_suite(&base.with_cache_kb(kb))))
         .collect();
     let s = claims_from(&data);
     // Power management alone: paper says ~9 %; accept the single-digit
@@ -120,10 +119,9 @@ fn headline_claims_within_tolerance() {
 #[test]
 fn line_size_halves_esav_but_not_lifetime() {
     // Paper Table III: Esav 44.3 -> 31.9 %, LT 4.31 -> 4.23 years.
-    let ctx = ctx();
-    let ls16 = run_suite(&quick(16, 4), &ctx).expect("suite");
+    let ls16 = run_suite(&quick(16, 4));
     let cfg32 = quick(16, 4).with_line_bytes(32);
-    let ls32 = run_suite(&cfg32, &ctx).expect("suite");
+    let ls32 = run_suite(&cfg32);
     let esav16 = ls16.iter().map(|r| r.esav).sum::<f64>() / 18.0;
     let esav32 = ls32.iter().map(|r| r.esav).sum::<f64>() / 18.0;
     let lt16 = ls16.iter().map(|r| r.lt_years).sum::<f64>() / 18.0;
@@ -141,8 +139,7 @@ fn line_size_halves_esav_but_not_lifetime() {
 #[test]
 fn sha_is_a_standout_case() {
     // The paper singles out sha ("we obtain a 2x lifetime extension").
-    let ctx = ctx();
-    let results = run_suite(&quick(16, 4), &ctx).expect("suite");
+    let results = run_suite(&quick(16, 4));
     let sha = results.iter().find(|r| r.name == "sha").expect("sha");
     let gain = (sha.lt_years - sha.lt0_years) / sha.lt0_years;
     let avg_gain = results

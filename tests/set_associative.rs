@@ -15,14 +15,14 @@
 //! because the study layer already relies on it.
 
 use nbti_cache_repro::arch::arch::{PartitionedCache, UpdateSchedule};
-use nbti_cache_repro::arch::model::ModelContext;
+use nbti_cache_repro::arch::session::StudySession;
 use nbti_cache_repro::arch::study::{StudyReport, StudySpec};
 use nbti_cache_repro::arch::PolicyRegistry;
 use nbti_cache_repro::sim::CacheGeometry;
 use nbti_cache_repro::traces::suite;
 
 fn run(spec: StudySpec) -> StudyReport {
-    spec.run(&ModelContext::new()).expect("study runs")
+    StudySession::new().run(&spec).expect("study runs")
 }
 
 #[test]
