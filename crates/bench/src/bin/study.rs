@@ -589,11 +589,12 @@ fn main() {
     if caching {
         let stats = session.stats();
         eprintln!(
-            "[cache] hits: {}, computed: {}, simulations: {}, entries: {}",
+            "[cache] hits: {}, computed: {}, simulations: {}, entries: {}, calibrations: {}",
             stats.cache_hits,
             stats.evaluations,
             stats.simulations,
-            session.result_cache().map(|c| c.len()).unwrap_or(0)
+            session.result_cache().map(|c| c.len()).unwrap_or(0),
+            stats.calibrations
         );
     }
     if format == Format::Json {
@@ -1013,11 +1014,12 @@ fn optimize_main(args: &[String]) {
     if caching {
         let stats = session.stats();
         eprintln!(
-            "[cache] hits: {}, computed: {}, simulations: {}, entries: {}",
+            "[cache] hits: {}, computed: {}, simulations: {}, entries: {}, calibrations: {}",
             stats.cache_hits,
             stats.evaluations,
             stats.simulations,
-            session.result_cache().map(|c| c.len()).unwrap_or(0)
+            session.result_cache().map(|c| c.len()).unwrap_or(0),
+            stats.calibrations
         );
     }
     if format == Format::Json {

@@ -448,8 +448,8 @@ pub struct JournalCheck {
 pub fn check_journal(path: &Path) -> JournalCheck {
     let mut out = JournalCheck::default();
     let report = &mut out.report;
-    let text = match std::fs::read_to_string(path) {
-        Ok(text) => text,
+    let bytes = match std::fs::read(path) {
+        Ok(bytes) => bytes,
         Err(e) => {
             report.error(
                 "journal-missing",
@@ -462,9 +462,9 @@ pub fn check_journal(path: &Path) -> JournalCheck {
     let mut entries = 0usize;
     let mut first_line_of: BTreeMap<String, usize> = BTreeMap::new();
     let mut tail_complete = true;
-    for line in text.split_inclusive('\n') {
+    for line in bytes.split_inclusive(|&b| b == b'\n') {
         lineno += 1;
-        let Some(line) = line.strip_suffix('\n') else {
+        let Some(line) = line.strip_suffix(b"\n") else {
             // A trailing fragment with no newline is an append cut
             // short — exactly what `JsonlCache::open` repairs by
             // truncation. Not an error: no completed entry is lost.
@@ -478,6 +478,19 @@ pub fn check_journal(path: &Path) -> JournalCheck {
                 ),
             );
             break;
+        };
+        let line = match std::str::from_utf8(line) {
+            Ok(line) => line,
+            Err(e) => {
+                report.error(
+                    "journal-parse",
+                    format!(
+                        "line {lineno}: not valid UTF-8 (first invalid byte at column {})",
+                        e.valid_up_to() + 1
+                    ),
+                );
+                continue;
+            }
         };
         if line.trim().is_empty() {
             continue;
@@ -839,6 +852,26 @@ mod tests {
             "{}",
             bad.report
         );
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn journal_check_reports_a_non_utf8_line_as_corrupt() {
+        let dir = std::env::temp_dir().join(format!("aging-check-utf8-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("results.jsonl");
+        // Line 2 carries a stray 0xFF at column 3; line 3 is still read.
+        std::fs::write(&path, b"\n{\"\xFF\"}\n{}\n").unwrap();
+        let check = check_journal(&path);
+        let text = check.report.to_string();
+        assert!(!text.contains("journal-missing"), "{text}");
+        assert!(
+            text.contains("line 2: not valid UTF-8 (first invalid byte at column 3)"),
+            "{text}"
+        );
+        assert!(text.contains("line 3:"), "the walk goes on: {text}");
+        assert_eq!(check.report.errors(), 2, "{text}");
         let _ = std::fs::remove_dir_all(&dir);
     }
 

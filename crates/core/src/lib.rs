@@ -133,6 +133,7 @@ pub mod error;
 pub mod exec;
 pub mod experiment;
 pub mod fine_grain;
+mod flight;
 pub mod flip;
 pub mod graceful;
 pub mod json;

@@ -18,8 +18,9 @@
 //!   an ordered, string-keyed [`Metrics`] map;
 //! * the [`ModelRegistry`] resolves registered names and dynamic
 //!   parameterized keys; the [`ModelContext`] memoizes calibration per
-//!   distinct canonical key, so a grid calibrates each model exactly
-//!   once no matter how many scenarios share it.
+//!   distinct canonical key, so a grid calibrates each model at most
+//!   once no matter how many scenarios share it — and not at all when
+//!   every scenario replays from a result cache.
 //!
 //! # Built-in model keys
 //!
@@ -62,11 +63,12 @@
 
 use crate::aging::AgingAnalysis;
 use crate::error::CoreError;
+use crate::flight::SingleFlight;
 use cache_sim::{BankMapping, IdentityMapping};
 use nbti_model::{calibration, DrvAnalysis, LifetimeSolver, SleepMode, VariationModel};
 use std::collections::{BTreeMap, HashMap};
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
+use std::sync::{Arc, Mutex};
 
 /// Metric name: lifetime under the identity policy (no re-indexing),
 /// years — the paper's `LT0`.
@@ -1040,23 +1042,27 @@ impl ModelRegistry {
 }
 
 /// The run context of the Study API: a model registry plus the
-/// per-model calibration cache.
+/// per-model calibration memo.
 ///
 /// Calibration is the expensive solve, so [`ModelContext::calibrated`]
 /// memoizes it per distinct *canonical* key: a grid of a thousand
-/// scenarios over two models calibrates exactly twice, and the shared
+/// scenarios over two models calibrates at most twice, and the shared
 /// [`CalibratedModel`] instances let scenarios share internal
 /// characterization state (the LUT-sharing the paper's flow relies on).
 ///
 /// A [`StudySession`](crate::session::StudySession) owns one; build it
 /// with [`StudySession::with_context`](crate::session::StudySession::with_context)
-/// to run studies over a custom registry.
+/// to run studies over a custom registry. A session calibrates a key
+/// on the first cache miss that evaluates it, so a run replayed whole
+/// from a result cache calibrates nothing.
 pub struct ModelContext {
     registry: ModelRegistry,
-    // aging-lint: allow(no-unordered-iter) calibration memo, only ever probed by key; never iterated
-    calibrated: Mutex<HashMap<String, Arc<dyn CalibratedModel>>>,
+    calibrated: SingleFlight<String, Calibration>,
     calibrations: AtomicUsize,
 }
+
+/// A settled calibration: the model, or the error its solve returned.
+type Calibration = Result<Arc<dyn CalibratedModel>, CoreError>;
 
 impl std::fmt::Debug for ModelContext {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
@@ -1071,7 +1077,7 @@ impl Clone for ModelContext {
     fn clone(&self) -> Self {
         Self {
             registry: self.registry.clone(),
-            calibrated: Mutex::new(self.memo().clone()),
+            calibrated: self.calibrated.settled_copy(),
             calibrations: AtomicUsize::new(self.calibrations.load(Ordering::Relaxed)),
         }
     }
@@ -1095,7 +1101,7 @@ impl ModelContext {
     pub fn with_registry(registry: ModelRegistry) -> Self {
         Self {
             registry,
-            calibrated: Mutex::new(HashMap::new()), // aging-lint: allow(no-unordered-iter) keyed memo
+            calibrated: SingleFlight::default(),
             calibrations: AtomicUsize::new(0),
         }
     }
@@ -1107,41 +1113,46 @@ impl ModelContext {
 
     /// Resolves and calibrates a model, memoized per canonical key.
     ///
-    /// The calibration lock is held across the solve, so concurrent
-    /// callers of the same key never duplicate the work — "once per
-    /// distinct model" is a guarantee, not a fast path. A solve that
-    /// panics leaves the memo as it was (entries are written only
-    /// after a successful calibration), so later calls go on serving.
+    /// The memo is single-flight: concurrent callers of one key wait
+    /// for a single solve, and callers of distinct keys solve
+    /// concurrently (no lock is held across a solve). A solve that
+    /// returns an error is memoized like a model — calibration is
+    /// deterministic, so retrying could only fail again — while a
+    /// solve that panics records nothing, so later calls solve afresh.
     ///
     /// # Errors
     ///
     /// Propagates resolution and calibration errors.
     pub fn calibrated(&self, key: &str) -> Result<Arc<dyn CalibratedModel>, CoreError> {
         let model = self.registry.resolve(key)?;
-        let canonical = model.name().to_string();
-        let mut cache = self.memo();
-        if let Some(hit) = cache.get(&canonical) {
-            return Ok(Arc::clone(hit));
-        }
-        let built = model.calibrate()?;
-        self.calibrations.fetch_add(1, Ordering::Relaxed);
-        cache.insert(canonical, Arc::clone(&built));
-        Ok(built)
+        self.calibrate(model.as_ref())
     }
 
-    /// How many calibrations have actually run in this context — the
+    /// Calibrates a resolved model through the memo.
+    pub(crate) fn calibrate(&self, model: &dyn AgingModel) -> Calibration {
+        self.calibrated
+            .get_or_compute(&model.name().to_string(), || self.solve(model))
+    }
+
+    /// Calibrates every model in `models` that the memo lacks, free
+    /// keys first, and returns how many solves this call ran: workers
+    /// that need the same models split the solves between them.
+    pub(crate) fn calibrate_each(&self, models: &[&dyn AgingModel]) -> usize {
+        let keys: Vec<String> = models.iter().map(|m| m.name().to_string()).collect();
+        self.calibrated
+            .compute_each(&keys, |i| self.solve(models[i]))
+    }
+
+    fn solve(&self, model: &dyn AgingModel) -> Calibration {
+        let solved = model.calibrate();
+        self.calibrations.fetch_add(1, Ordering::Relaxed);
+        solved
+    }
+
+    /// How many calibration solves have run in this context — the
     /// observable behind the once-per-distinct-model guarantee.
     pub fn calibration_count(&self) -> usize {
         self.calibrations.load(Ordering::Relaxed)
-    }
-
-    /// The calibration memo. A panic inside a solve poisons the lock,
-    /// but never a half-written entry, so the memo stays sound.
-    // aging-lint: allow(no-unordered-iter) the keyed calibration memo; never iterated
-    fn memo(&self) -> MutexGuard<'_, HashMap<String, Arc<dyn CalibratedModel>>> {
-        self.calibrated
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner)
     }
 }
 

@@ -14,7 +14,9 @@
 //! shares with a previous run.
 //!
 //! A cache hit replays the full measurement — simulation outputs *and*
-//! model metrics — so neither the simulator nor the device model runs.
+//! model metrics — so neither the simulator nor the device model runs:
+//! a session calibrates a model only on the first miss that evaluates
+//! it, so a run replayed whole calibrates nothing.
 //! Records rebuilt from hits are byte-identical to computed ones
 //! (pinned by `tests/exec_cache.rs`): the JSON codec's
 //! shortest-round-trip number formatting makes
@@ -523,23 +525,29 @@ impl JsonlCache {
             .take(len - *absorbed)
             .read_to_end(&mut bytes)
             .map_err(|e| cache_err(format!("read {}: {e}", path.display())))?;
-        let text = String::from_utf8(bytes)
-            .map_err(|_| cache_err(format!("{}: journal is not valid UTF-8", path.display())))?;
-        let mut consumed = 0usize;
+        // Complete lines end at the last newline; a fragment past it is
+        // an append that died mid-write (we hold the lock, so no live
+        // writer can account for it).
+        let complete = bytes
+            .iter()
+            .rposition(|&b| b == b'\n')
+            .map_or(0, |nl| nl + 1);
+        let text = std::str::from_utf8(bytes.get(..complete).unwrap_or(&[])).map_err(|e| {
+            let valid = bytes.get(..e.valid_up_to()).unwrap_or(&[]);
+            let line_start = valid
+                .iter()
+                .rposition(|&b| b == b'\n')
+                .map_or(0, |nl| nl + 1);
+            cache_err(format!(
+                "corrupted cache entry at {}:{}: not valid UTF-8 (first invalid byte at column {})",
+                path.display(),
+                *lines + 1 + valid.iter().filter(|&&b| b == b'\n').count(),
+                e.valid_up_to() - line_start + 1
+            ))
+        })?;
         let mut added = 0usize;
-        while consumed < text.len() {
-            let rest = text.get(consumed..).unwrap_or("");
-            let Some(nl) = rest.find('\n') else {
-                // No newline: an append died mid-write (we hold the
-                // lock, so no live writer can account for it). Drop
-                // the fragment.
-                file.set_len(*absorbed + consumed as u64)
-                    .map_err(|e| cache_err(format!("truncate {}: {e}", path.display())))?;
-                break;
-            };
-            let line = rest.get(..nl).unwrap_or(rest);
+        for line in text.split_terminator('\n') {
             *lines += 1;
-            consumed += nl + 1;
             if line.trim().is_empty() {
                 continue;
             }
@@ -554,7 +562,12 @@ impl JsonlCache {
                 added += 1;
             }
         }
-        *absorbed += consumed as u64;
+        if complete < bytes.len() {
+            // Drop the fragment.
+            file.set_len(*absorbed + complete as u64)
+                .map_err(|e| cache_err(format!("truncate {}: {e}", path.display())))?;
+        }
+        *absorbed += complete as u64;
         Ok(added)
     }
 
@@ -828,6 +841,51 @@ mod tests {
         let msg = e.to_string();
         assert!(msg.contains(&fp().digest()), "{msg}");
         assert!(msg.contains("digest mismatch"), "{msg}");
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn a_non_utf8_byte_is_rejected_naming_its_line() {
+        let dir = std::env::temp_dir().join(format!("nbti-rescache-utf8-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let cache = JsonlCache::in_dir(&dir).unwrap();
+        cache.store(&fp(), &measurement()).unwrap();
+        let path = cache.path().to_path_buf();
+        drop(cache);
+        // Line 1 intact; line 2 carries a stray 0xFF at column 3.
+        let mut bytes = std::fs::read(&path).unwrap();
+        bytes.extend_from_slice(b"{\"\xFF\"}\n");
+        std::fs::write(&path, &bytes).unwrap();
+        let e = JsonlCache::open(&path).unwrap_err();
+        assert!(matches!(e, CoreError::Cache { .. }), "{e:?}");
+        let msg = e.to_string();
+        assert!(
+            msg.contains(&format!("{}:2:", path.display())),
+            "names the line: {msg}"
+        );
+        assert!(msg.contains("not valid UTF-8"), "{msg}");
+        assert!(msg.contains("column 3"), "{msg}");
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn a_tail_cut_inside_a_multibyte_character_is_repaired() {
+        let dir = std::env::temp_dir().join(format!("nbti-rescache-torn-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let cache = JsonlCache::in_dir(&dir).unwrap();
+        cache.store(&fp(), &measurement()).unwrap();
+        let path = cache.path().to_path_buf();
+        drop(cache);
+        let intact = std::fs::read(&path).unwrap();
+        let mut torn = intact.clone();
+        torn.extend_from_slice(&"{\"µ".as_bytes()[..3]); // half of `µ`, no '\n'
+        std::fs::write(&path, &torn).unwrap();
+        assert_eq!(JsonlCache::open(&path).unwrap().len(), 1);
+        assert_eq!(
+            std::fs::read(&path).unwrap(),
+            intact,
+            "the fragment was cut"
+        );
         std::fs::remove_dir_all(&dir).unwrap();
     }
 

@@ -1217,6 +1217,7 @@ fn session_stats_json(stats: &crate::session::SessionStats) -> Json {
         ("evaluations", Json::Num(stats.evaluations as f64)),
         ("cache_hits", Json::Num(stats.cache_hits as f64)),
         ("cache_stores", Json::Num(stats.cache_stores as f64)),
+        ("calibrations", Json::Num(stats.calibrations as f64)),
     ])
 }
 

@@ -22,8 +22,8 @@
 //!   **[`ExecObserver`]** streams per-record progress;
 //! * [`StudySession::stats`] exposes the counters behind all of the
 //!   above — simulations actually run, memo hits, cache hits/stores,
-//!   model evaluations — so "the cache worked" is an assertable fact,
-//!   not a hope.
+//!   model calibrations and evaluations — so "the cache worked" is an
+//!   assertable fact, not a hope.
 //!
 //! # Examples
 //!
@@ -69,7 +69,8 @@
 use crate::arch::{simulate_fanout, PartitionedCache, SimTarget, UpdateSchedule};
 use crate::error::CoreError;
 use crate::exec::{ExecObserver, ExecOptions, Executor, RecordOrigin, ThreadedExecutor};
-use crate::model::{CalibratedModel, ModelContext, ModelEval};
+use crate::flight::SingleFlight;
+use crate::model::{AgingModel, ModelContext, ModelEval};
 use crate::registry::PolicyRegistry;
 use crate::rescache::{workload_identity, CachedMeasurement, Fingerprint, ResultCache};
 use crate::study::{Scenario, ScenarioGrid, ScenarioRecord, StudyReport, StudySpec};
@@ -77,7 +78,7 @@ use crate::workload::{Workload, WorkloadRegistry};
 use cache_sim::CacheGeometry;
 use std::collections::{BTreeMap, BTreeSet};
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
+use std::sync::{Arc, Mutex};
 
 /// Measured simulation outputs shared by scenarios that differ only in
 /// policy, model or update period.
@@ -136,100 +137,6 @@ fn scenario_key<'a>(
     ))
 }
 
-/// The session-scoped simulation memo, shared across workers and runs.
-///
-/// It is single-flight: a worker *claims* the keys nobody holds before
-/// simulating them, and a worker that finds a key claimed waits for
-/// its measurement instead of simulating it again. A claimant never
-/// waits while holding claims (it publishes or releases them first),
-/// so claims cannot deadlock, and every distinct key simulates once.
-#[derive(Default)]
-struct SimMemo {
-    /// `None` while the key's claimant is simulating it.
-    slots: Mutex<BTreeMap<SimKey, Option<Arc<SimMeasurement>>>>,
-    settled: Condvar,
-}
-
-/// What [`SimMemo::claim`] found for a set of keys.
-#[derive(Default)]
-struct Claimed {
-    /// Already measured.
-    ready: Vec<(SimKey, Arc<SimMeasurement>)>,
-    /// Claimed by the caller, who must publish or release each.
-    mine: Vec<SimKey>,
-    /// Being measured by another worker.
-    elsewhere: Vec<SimKey>,
-}
-
-impl SimMemo {
-    fn slots(&self) -> MutexGuard<'_, BTreeMap<SimKey, Option<Arc<SimMeasurement>>>> {
-        self.slots.lock().unwrap_or_else(PoisonError::into_inner)
-    }
-
-    /// Sorts `keys` into measured, newly claimed and in flight.
-    fn claim<'k>(&self, keys: impl IntoIterator<Item = &'k SimKey>) -> Claimed {
-        let mut slots = self.slots();
-        let mut claimed = Claimed::default();
-        for key in keys {
-            match slots.get(key) {
-                Some(Some(m)) => claimed.ready.push((key.clone(), Arc::clone(m))),
-                Some(None) => claimed.elsewhere.push(key.clone()),
-                None => {
-                    slots.insert(key.clone(), None);
-                    claimed.mine.push(key.clone());
-                }
-            }
-        }
-        claimed
-    }
-
-    /// Stores a claimed key's measurement and wakes its waiters.
-    fn publish(&self, key: SimKey, measured: Arc<SimMeasurement>) {
-        self.slots().insert(key, Some(measured));
-        self.settled.notify_all();
-    }
-
-    /// Drops the caller's unpublished claims (the error and panic
-    /// path), so waiters retry them.
-    fn release(&self, keys: &[SimKey]) {
-        let mut slots = self.slots();
-        for key in keys {
-            if matches!(slots.get(key), Some(None)) {
-                slots.remove(key);
-            }
-        }
-        drop(slots);
-        self.settled.notify_all();
-    }
-
-    /// Blocks until no key in `keys` is in flight: each is measured,
-    /// or its claimant released it and it is free to claim.
-    fn wait(&self, keys: &[SimKey]) {
-        let mut slots = self.slots();
-        while keys.iter().any(|k| matches!(slots.get(k), Some(None))) {
-            slots = self
-                .settled
-                .wait(slots)
-                .unwrap_or_else(PoisonError::into_inner);
-        }
-    }
-}
-
-/// A worker's claims on the memo, released on drop unless published
-/// — so neither an error nor a panic mid-simulation strands a waiter.
-struct ClaimGuard<'a> {
-    memo: &'a SimMemo,
-    keys: Vec<SimKey>,
-}
-
-impl Drop for ClaimGuard<'_> {
-    fn drop(&mut self) {
-        if !self.keys.is_empty() {
-            self.memo.release(&self.keys);
-        }
-    }
-}
-
 /// Cumulative execution counters, snapshot by [`StudySession::stats`].
 ///
 /// For runs that complete without a scenario error,
@@ -255,6 +162,10 @@ pub struct SessionStats {
     pub cache_hits: usize,
     /// Measurements newly journaled into the result cache.
     pub cache_stores: usize,
+    /// Model calibration solves this session's runs executed: one per
+    /// distinct model key a cache miss evaluated, none for a run
+    /// replayed whole.
+    pub calibrations: usize,
 }
 
 #[derive(Default)]
@@ -265,6 +176,7 @@ struct Counters {
     evaluations: AtomicUsize,
     cache_hits: AtomicUsize,
     cache_stores: AtomicUsize,
+    calibrations: AtomicUsize,
 }
 
 impl Counters {
@@ -276,6 +188,7 @@ impl Counters {
             evaluations: self.evaluations.load(Ordering::Relaxed),
             cache_hits: self.cache_hits.load(Ordering::Relaxed),
             cache_stores: self.cache_stores.load(Ordering::Relaxed),
+            calibrations: self.calibrations.load(Ordering::Relaxed),
         }
     }
 }
@@ -284,13 +197,17 @@ impl Counters {
 ///
 /// See the [module docs](self) for the full tour. Construction is
 /// free; models calibrate lazily (once per distinct canonical key,
-/// session-wide) and the simulation memo fills as grids run.
+/// session-wide, on the first cache miss that evaluates the key) and
+/// the simulation memo fills as grids run.
 pub struct StudySession {
     ctx: ModelContext,
     policies: PolicyRegistry,
     workloads: WorkloadRegistry,
     replacements: cache_sim::ReplacementRegistry,
-    memo: SimMemo,
+    /// The simulation memo, single-flight across workers and runs: a
+    /// worker claims the keys nobody holds before simulating them, and
+    /// waits out the ones another worker is simulating.
+    memo: SingleFlight<SimKey, Arc<SimMeasurement>>,
     cache: Option<Box<dyn ResultCache>>,
     exec: ExecOptions,
     observer: Option<Box<dyn ExecObserver>>,
@@ -328,7 +245,7 @@ impl StudySession {
             policies: PolicyRegistry::builtin(),
             workloads: WorkloadRegistry::builtin(),
             replacements: cache_sim::ReplacementRegistry::global().clone(),
-            memo: SimMemo::default(),
+            memo: SingleFlight::default(),
             cache: None,
             exec: ExecOptions::default(),
             observer: None,
@@ -435,8 +352,9 @@ impl StudySession {
     ///
     /// # Errors
     ///
-    /// Returns model resolution/calibration errors, cache backend
-    /// errors, the first scenario error by grid order, or
+    /// Returns model resolution errors (before any cache lookup),
+    /// cache backend errors, the first scenario error by grid order
+    /// (a failed calibration included), or
     /// [`CoreError::ScenarioPanicked`] if a scenario task panicked.
     pub fn run_grid(&self, grid: &ScenarioGrid) -> Result<StudyReport, CoreError> {
         execute(grid, self)
@@ -486,17 +404,21 @@ fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
 /// A scenario's outcome as a work unit hands it to the run.
 type Outcome = Result<(ScenarioRecord, RecordOrigin), CoreError>;
 
-/// The calibrated model of every model key in a grid.
-type Models<'a> = BTreeMap<&'a str, Arc<dyn CalibratedModel>>;
+/// The resolved model of every model key in a grid.
+type Models<'a> = BTreeMap<&'a str, Arc<dyn AgingModel>>;
 
 fn execute(grid: &ScenarioGrid, session: &StudySession) -> Result<StudyReport, CoreError> {
-    // Calibrate every distinct model once, serially and in grid order:
-    // deterministic first-error, and the workers below only ever hit
-    // the context's calibration memo.
+    // Resolve every distinct model key up front, in grid order: an
+    // unknown or malformed key fails before any lookup. Resolving only
+    // parses; the expensive solve waits for the first cache miss that
+    // evaluates the key, so a warm replay calibrates nothing.
     let mut models = Models::new();
     for scenario in grid.scenarios() {
         if !models.contains_key(scenario.model.as_str()) {
-            models.insert(&scenario.model, session.ctx.calibrated(&scenario.model)?);
+            models.insert(
+                &scenario.model,
+                session.ctx.registry().resolve(&scenario.model)?,
+            );
         }
     }
 
@@ -704,7 +626,8 @@ impl UnitRun<'_> {
     }
 
     /// Looks `scenarios` up in the result cache in fingerprint order,
-    /// then simulates what the misses need and evaluates each miss.
+    /// then calibrates and simulates what the misses need and
+    /// evaluates each miss.
     /// Serve's coalescing cache claims a fingerprint when a lookup
     /// misses, so one fixed lookup order across units is what keeps
     /// two overlapping runs from each holding a claim the other waits
@@ -753,6 +676,7 @@ impl UnitRun<'_> {
             None => misses = scenarios.iter().map(|&i| (i, None)).collect(),
         }
         if !misses.is_empty() {
+            self.calibrate(&misses);
             let measured = self.simulate(&misses)?;
             let evaluate = |k: usize| {
                 let (i, fp) = &misses[k];
@@ -774,6 +698,23 @@ impl UnitRun<'_> {
         } else {
             self.run_scenarios(&repeats)
         }
+    }
+
+    /// Calibrates the distinct models the misses evaluate, before any
+    /// of them is needed: units running side by side take the keys
+    /// nobody is solving first, so they split the solves between them.
+    /// A failed solve is memoized, for each miss of its key to report.
+    fn calibrate(&self, misses: &[(usize, Option<Fingerprint>)]) {
+        let keys: BTreeSet<&str> = misses
+            .iter()
+            .map(|&(i, _)| self.grid.scenarios()[i].model.as_str())
+            .collect();
+        let models: Vec<&dyn AgingModel> = keys.iter().map(|k| self.models[k].as_ref()).collect();
+        let solved = self.session.ctx.calibrate_each(&models);
+        self.session
+            .counters
+            .calibrations
+            .fetch_add(solved, Ordering::Relaxed);
     }
 
     fn workload(&self, i: usize) -> &dyn Workload {
@@ -827,32 +768,26 @@ impl UnitRun<'_> {
         let mut simulated = 0;
         let memo = &self.session.memo;
         loop {
-            let claimed = memo.claim(needed.keys().filter(|k| !have.contains_key(*k)));
-            have.extend(claimed.ready);
-            if !claimed.mine.is_empty() {
-                let mut guard = ClaimGuard {
-                    memo,
-                    keys: claimed.mine,
-                };
-                let reps: Vec<usize> = guard.keys.iter().map(|k| needed[k]).collect();
+            let mut claim = memo.claim(needed.keys().filter(|k| !have.contains_key(*k)));
+            have.extend(std::mem::take(&mut claim.ready));
+            if !claim.mine.is_empty() {
+                // An error or panic drops the claim, releasing its keys.
+                let reps: Vec<usize> = claim.mine.iter().map(|k| needed[k]).collect();
                 let measured = self.simulate_trace(&reps)?;
                 self.session
                     .counters
                     .simulations
                     .fetch_add(measured.len(), Ordering::Relaxed);
                 simulated += measured.len();
-                for (key, m) in std::mem::take(&mut guard.keys).into_iter().zip(measured) {
-                    memo.publish(key.clone(), Arc::clone(&m));
-                    have.insert(key, m);
-                }
+                have.extend(claim.publish(measured));
             }
-            if claimed.elsewhere.is_empty() {
+            if claim.elsewhere.is_empty() {
                 break;
             }
             // Another worker is simulating these; the next pass picks
             // up their measurements, or claims what a failed claimant
             // released.
-            memo.wait(&claimed.elsewhere);
+            claim.wait();
         }
         self.session
             .counters
@@ -953,7 +888,11 @@ impl UnitRun<'_> {
         let scenario = &self.grid.scenarios()[i];
         let workload = self.workload(i);
         let measured = &measured[&i];
-        let model = &self.models[scenario.model.as_str()];
+        // Settled by `calibrate` before the unit simulated.
+        let model = self
+            .session
+            .ctx
+            .calibrate(self.models[scenario.model.as_str()].as_ref())?;
         let policy_builder = || {
             self.grid.policy_registry().build(
                 &scenario.policy,

@@ -5,6 +5,7 @@
 
 use aging_cache::exec::{ExecOptions, ProcessOptions, WorkerCommand};
 use aging_cache::experiment::ExperimentConfig;
+use aging_cache::model::{CalibratedModel, ModelContext, ModelRegistry};
 use aging_cache::presets;
 use aging_cache::rescache::{JsonlCache, MemoryCache};
 use aging_cache::session::StudySession;
@@ -91,6 +92,8 @@ fn sequential_threaded_and_multi_process_reports_are_byte_identical() {
     let stats = mp.stats();
     assert_eq!(stats.evaluations, 0, "the coordinator computed nothing");
     assert_eq!(stats.cache_hits, n, "the replay pass was all journal hits");
+    assert_eq!(stats.calibrations, 0, "the replay pass calibrated nothing");
+    assert_eq!(mp.context().calibration_count(), 0);
 
     // Warm: a fresh coordinator over the same journal — byte-identical
     // again, and no worker has anything to compute.
@@ -106,6 +109,8 @@ fn sequential_threaded_and_multi_process_reports_are_byte_identical() {
     assert_eq!(stats.evaluations, 0);
     assert_eq!(stats.simulations, 0);
     assert_eq!(stats.cache_hits, n);
+    assert_eq!(stats.calibrations, 0);
+    assert_eq!(warm.context().calibration_count(), 0);
     std::fs::remove_dir_all(&dir).unwrap();
 }
 
@@ -366,5 +371,165 @@ fn small_grids_fall_back_from_the_process_backend() {
         seen[0]
     );
     drop(seen);
+    std::fs::remove_dir_all(&dir).unwrap();
+}
+
+/// A warm journal replays on every backend without calibrating a
+/// single model: calibration waits for the first cache miss.
+#[test]
+fn a_warm_journal_replays_without_calibrating() {
+    let dir = std::env::temp_dir().join(format!("nbti-exec-calib-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let spec = |session: &StudySession| {
+        grid_spec(session)
+            .policy_seed(1)
+            .models(["nbti-45nm", "nbti:temp=105"])
+    };
+
+    let cold = StudySession::new().cache(JsonlCache::in_dir(&dir).unwrap());
+    let reference = cold.run(&spec(&cold)).unwrap().to_json();
+    assert_eq!(cold.stats().calibrations, 2, "one solve per model key");
+    assert_eq!(cold.context().calibration_count(), 2);
+
+    for exec in [ExecOptions::sequential(), ExecOptions::threaded()] {
+        let warm = StudySession::new()
+            .cache(JsonlCache::in_dir(&dir).unwrap())
+            .exec(exec.clone());
+        assert_eq!(warm.run(&spec(&warm)).unwrap().to_json(), reference);
+        let stats = warm.stats();
+        assert_eq!(stats.cache_hits, 16, "{exec:?}");
+        assert_eq!(stats.calibrations, 0, "{exec:?}: nothing calibrates");
+        assert_eq!(warm.context().calibration_count(), 0, "{exec:?}");
+    }
+
+    // A widened grid calibrates only the key its misses use: the new
+    // `drv` cells, not the two journaled models.
+    let wider = StudySession::new().cache(JsonlCache::in_dir(&dir).unwrap());
+    let widened = spec(&wider).models(["nbti-45nm", "nbti:temp=105", "drv"]);
+    wider.run(&widened).unwrap();
+    let stats = wider.stats();
+    assert_eq!((stats.cache_hits, stats.evaluations), (16, 8));
+    assert_eq!(stats.calibrations, 1, "only `drv` calibrates");
+    assert_eq!(wider.context().calibration_count(), 1);
+    std::fs::remove_dir_all(&dir).unwrap();
+}
+
+/// The reference cell's calibration, for test models that count their
+/// solves.
+fn reference_cell() -> Result<Arc<dyn CalibratedModel>, CoreError> {
+    ModelRegistry::builtin().resolve("nbti-45nm")?.calibrate()
+}
+
+fn failing(key: &'static str) -> impl Fn() -> Result<Arc<dyn CalibratedModel>, CoreError> {
+    move || {
+        Err(CoreError::Report {
+            message: format!("{key} cannot calibrate"),
+        })
+    }
+}
+
+/// A failed calibration fails the run with its own error, the one of
+/// the first scenario in grid order that uses a failing key.
+#[test]
+fn a_failed_calibration_fails_the_run_at_the_first_scenario_using_it() {
+    let mut registry = ModelRegistry::builtin();
+    registry
+        .register_fn("bad-a", "fails", "none", failing("bad-a"))
+        .unwrap();
+    registry
+        .register_fn("bad-b", "fails", "none", failing("bad-b"))
+        .unwrap();
+    for exec in [ExecOptions::sequential(), ExecOptions::threaded()] {
+        let session = StudySession::with_context(ModelContext::with_registry(registry.clone()))
+            .exec(exec.clone());
+        let spec = grid_spec(&session).models(["nbti-45nm", "bad-b", "bad-a"]);
+        let grid = spec.expand().unwrap();
+        let first_bad = grid
+            .scenarios()
+            .iter()
+            .find(|s| s.model.starts_with("bad-"))
+            .unwrap();
+        let e = session.run_grid(&grid).unwrap_err();
+        assert_eq!(
+            e,
+            CoreError::Report {
+                message: format!("{} cannot calibrate", first_bad.model),
+            },
+            "{exec:?}"
+        );
+    }
+}
+
+/// On the threaded executor every calibration closure runs exactly
+/// once, however many scenarios share its key — a failing one too.
+#[test]
+fn threaded_runs_solve_each_key_once_even_when_it_fails() {
+    let solves = Arc::new([AtomicUsize::new(0), AtomicUsize::new(0)]);
+    let mut registry = ModelRegistry::builtin();
+    let counter = Arc::clone(&solves);
+    registry
+        .register_fn("counted", "counts its solves", "none", move || {
+            counter[0].fetch_add(1, Ordering::Relaxed);
+            reference_cell()
+        })
+        .unwrap();
+    let counter = Arc::clone(&solves);
+    let fail = failing("counted-bad");
+    registry
+        .register_fn("counted-bad", "counts its failures", "none", move || {
+            counter[1].fetch_add(1, Ordering::Relaxed);
+            fail()
+        })
+        .unwrap();
+    let session = StudySession::with_context(ModelContext::with_registry(registry))
+        .exec(ExecOptions::threaded().with_threads(4));
+    let spec = |models: &[&str]| {
+        grid_spec(&session)
+            .policies(["identity", "probing", "gray", "scrambling"])
+            .models(models.iter().copied())
+    };
+    session.run(&spec(&["counted"])).unwrap();
+    assert_eq!(
+        solves[0].load(Ordering::Relaxed),
+        1,
+        "16 scenarios, one solve"
+    );
+    assert_eq!(session.stats().calibrations, 1);
+
+    assert!(session.run(&spec(&["counted-bad"])).is_err());
+    assert_eq!(
+        solves[1].load(Ordering::Relaxed),
+        1,
+        "one failed solve per run"
+    );
+    assert_eq!(session.stats().calibrations, 2);
+}
+
+/// An unknown model key fails before any cache lookup, even when every
+/// cell of the grid is journaled.
+#[test]
+fn an_unknown_model_fails_before_any_lookup() {
+    let dir = std::env::temp_dir().join(format!("nbti-exec-unknown-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let mut registry = ModelRegistry::builtin();
+    registry
+        .register_fn("custom", "the reference cell", "none", reference_cell)
+        .unwrap();
+    let journaling = StudySession::with_context(ModelContext::with_registry(registry))
+        .cache(JsonlCache::in_dir(&dir).unwrap());
+    journaling
+        .run(&grid_spec(&journaling).models(["custom"]))
+        .unwrap();
+    assert_eq!(journaling.stats().cache_stores, 8, "every cell journaled");
+
+    // Without `custom` registered, the same grid is refused up front.
+    let session = StudySession::new().cache(JsonlCache::in_dir(&dir).unwrap());
+    let e = session
+        .run(&grid_spec(&session).models(["custom"]))
+        .unwrap_err();
+    assert!(matches!(e, CoreError::UnknownModel { .. }), "{e:?}");
+    let stats = session.stats();
+    assert_eq!(stats.scenarios, 0, "no work unit started");
+    assert_eq!(stats.cache_hits, 0, "no lookup ran");
     std::fs::remove_dir_all(&dir).unwrap();
 }

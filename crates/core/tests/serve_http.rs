@@ -117,6 +117,7 @@ fn concurrent_identical_runs_cost_one_simulation_per_cell() {
             "eight identical requests must simulate like one"
         );
         assert_eq!(stats.evaluations, expected.evaluations);
+        assert_eq!(stats.calibrations, 1, "one model key, one solve");
 
         // The follow-up GET the /run response points at is warm.
         let (_, _, run_body) = post(addr, &format!("/run?{SPEC_QUERY}"));
@@ -129,6 +130,10 @@ fn concurrent_identical_runs_cost_one_simulation_per_cell() {
         assert_eq!(status, 200);
         let after = server.session().stats();
         assert_eq!(after.simulations, 2, "GETs never simulate");
+        // The warm /run replayed its cells without calibrating again.
+        let (_, _, stats_body) = get(addr, "/stats");
+        let stats_text = String::from_utf8(stats_body).unwrap();
+        assert!(stats_text.contains("\"calibrations\":1"), "{stats_text}");
     });
 }
 
@@ -370,6 +375,7 @@ fn shutdown_is_token_gated_drains_and_flushes_the_journal() {
     reference_report(&warm);
     let stats = warm.stats();
     assert_eq!(stats.simulations, 0);
+    assert_eq!(stats.calibrations, 0);
     assert_eq!(stats.cache_hits, 4);
     std::fs::remove_dir_all(&dir).unwrap();
 }
